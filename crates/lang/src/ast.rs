@@ -1,42 +1,43 @@
-//! The abstract syntax tree of Skil source programs.
+//! The abstract syntax tree of Skil source programs. Identifiers borrow
+//! the source text.
 
 use crate::diag::Pos;
 
 /// A surface type expression.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TypeExpr {
+pub enum TypeExpr<'a> {
     /// A named type, possibly with angle-bracket arguments:
     /// `int`, `float`, `void`, `Index`, `array<float>`, `list<$t>`.
-    Named(String, Vec<TypeExpr>),
+    Named(&'a str, Vec<TypeExpr<'a>>),
     /// A type variable `$t`.
-    Var(String),
+    Var(&'a str),
     /// A function type, written in parameter position as
     /// `ret name(argtypes...)`.
-    Fun(Vec<TypeExpr>, Box<TypeExpr>),
+    Fun(Vec<TypeExpr<'a>>, Box<TypeExpr<'a>>),
 }
 
-impl TypeExpr {
+impl<'a> TypeExpr<'a> {
     /// Shorthand for a monomorphic named type.
-    pub fn named(n: &str) -> TypeExpr {
-        TypeExpr::Named(n.to_string(), vec![])
+    pub fn named(n: &'a str) -> TypeExpr<'a> {
+        TypeExpr::Named(n, vec![])
     }
 }
 
 /// One function parameter.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Param {
+pub struct Param<'a> {
     /// Parameter name.
-    pub name: String,
+    pub name: &'a str,
     /// Declared type (possibly a function type — that is what makes the
     /// enclosing function a higher-order function).
-    pub ty: TypeExpr,
+    pub ty: TypeExpr<'a>,
     /// Source position.
     pub pos: Pos,
 }
 
 /// A top-level item.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Item {
+pub enum Item<'a> {
     /// `pardata name <$t1, ..., $tn> ;` — a distributed data structure
     /// whose implementation is hidden. Only the built-in `array` has an
     /// implementation (backed by `skil_array::DistArray`); further
@@ -44,7 +45,7 @@ pub enum Item {
     /// skeletons that support them.
     Pardata {
         /// Structure name.
-        name: String,
+        name: &'a str,
         /// Number of type parameters.
         arity: usize,
         /// Source position.
@@ -53,147 +54,147 @@ pub enum Item {
     /// `struct name <$t...> { type field ; ... } ;`
     Struct {
         /// Struct name.
-        name: String,
+        name: &'a str,
         /// Type parameters (without `$`).
-        params: Vec<String>,
+        params: Vec<&'a str>,
         /// Field names and types, in declaration order.
-        fields: Vec<(String, TypeExpr)>,
+        fields: Vec<(&'a str, TypeExpr<'a>)>,
         /// Source position.
         pos: Pos,
     },
     /// A function definition.
-    Func(Func),
+    Func(Func<'a>),
 }
 
 /// A function definition.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Func {
+pub struct Func<'a> {
     /// Function name.
-    pub name: String,
+    pub name: &'a str,
     /// Parameters (functional parameters make this a HOF).
-    pub params: Vec<Param>,
+    pub params: Vec<Param<'a>>,
     /// Return type.
-    pub ret: TypeExpr,
+    pub ret: TypeExpr<'a>,
     /// Body.
-    pub body: Block,
+    pub body: Block<'a>,
     /// Source position.
     pub pos: Pos,
 }
 
 /// A brace-enclosed statement sequence.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct Block(pub Vec<Stmt>);
+pub struct Block<'a>(pub Vec<Stmt<'a>>);
 
 /// A statement.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Stmt {
+pub enum Stmt<'a> {
     /// `type name;` or `type name = expr;`
     Decl {
         /// Declared type.
-        ty: TypeExpr,
+        ty: TypeExpr<'a>,
         /// Variable name.
-        name: String,
+        name: &'a str,
         /// Optional initializer.
-        init: Option<Expr>,
+        init: Option<Expr<'a>>,
         /// Source position.
         pos: Pos,
     },
     /// `name = expr;`
     Assign {
         /// Assigned variable.
-        name: String,
+        name: &'a str,
         /// New value.
-        value: Expr,
+        value: Expr<'a>,
         /// Source position.
         pos: Pos,
     },
     /// `if (cond) block [else block]`
     If {
         /// Condition (an int; nonzero is true).
-        cond: Expr,
+        cond: Expr<'a>,
         /// Then branch.
-        then: Block,
+        then: Block<'a>,
         /// Optional else branch.
-        els: Option<Block>,
+        els: Option<Block<'a>>,
     },
     /// `while (cond) block`
     While {
         /// Loop condition.
-        cond: Expr,
+        cond: Expr<'a>,
         /// Loop body.
-        body: Block,
+        body: Block<'a>,
     },
     /// `for (init; cond; step) block`
     For {
         /// Initializer (a declaration or assignment).
-        init: Option<Box<Stmt>>,
+        init: Option<Box<Stmt<'a>>>,
         /// Condition.
-        cond: Option<Expr>,
+        cond: Option<Expr<'a>>,
         /// Step (an assignment).
-        step: Option<Box<Stmt>>,
+        step: Option<Box<Stmt<'a>>>,
         /// Loop body.
-        body: Block,
+        body: Block<'a>,
     },
     /// `return;` or `return expr;`
     Return {
         /// Returned value.
-        value: Option<Expr>,
+        value: Option<Expr<'a>>,
         /// Source position.
         pos: Pos,
     },
     /// An expression evaluated for effect (usually a skeleton call).
-    Expr(Expr),
+    Expr(Expr<'a>),
 }
 
 /// An expression.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Expr {
+pub enum Expr<'a> {
     /// Integer literal.
     Int(i64, Pos),
     /// Float literal.
     Float(f64, Pos),
     /// Variable (or function) reference.
-    Var(String, Pos),
+    Var(&'a str, Pos),
     /// Application. Currying: `f(a)(b)` parses as
     /// `Call(Call(f, [a]), [b])`; partial application is an application
     /// whose argument count is below the callee's arity.
     Call {
         /// The applied expression.
-        callee: Box<Expr>,
+        callee: Box<Expr<'a>>,
         /// Arguments.
-        args: Vec<Expr>,
+        args: Vec<Expr<'a>>,
         /// Source position.
         pos: Pos,
     },
     /// An operator converted to a function by enclosing it in brackets:
     /// `(+)`, `(*)`; can be partially applied: `(*)(2)`.
-    OpSection(String, Pos),
+    OpSection(&'static str, Pos),
     /// A binary operation.
     Binary {
         /// Operator lexeme.
-        op: String,
+        op: &'static str,
         /// Left operand.
-        lhs: Box<Expr>,
+        lhs: Box<Expr<'a>>,
         /// Right operand.
-        rhs: Box<Expr>,
+        rhs: Box<Expr<'a>>,
         /// Source position.
         pos: Pos,
     },
     /// Unary `-` or `!`.
     Unary {
         /// Operator lexeme.
-        op: String,
+        op: &'static str,
         /// Operand.
-        expr: Box<Expr>,
+        expr: Box<Expr<'a>>,
         /// Source position.
         pos: Pos,
     },
     /// Struct field access `e.f`.
     Field {
         /// The struct expression.
-        expr: Box<Expr>,
+        expr: Box<Expr<'a>>,
         /// Field name.
-        field: String,
+        field: &'a str,
         /// Source position.
         pos: Pos,
     },
@@ -201,9 +202,9 @@ pub enum Expr {
     /// of `Bounds`).
     IndexAt {
         /// The indexed expression (of type `Index`).
-        expr: Box<Expr>,
+        expr: Box<Expr<'a>>,
         /// The component expression.
-        index: Box<Expr>,
+        index: Box<Expr<'a>>,
         /// Source position.
         pos: Pos,
     },
@@ -211,7 +212,7 @@ pub enum Expr {
     /// values.
     BraceList {
         /// Components.
-        elems: Vec<Expr>,
+        elems: Vec<Expr<'a>>,
         /// Source position.
         pos: Pos,
     },
@@ -219,15 +220,15 @@ pub enum Expr {
     /// declaration order.
     StructLit {
         /// Struct name.
-        name: String,
+        name: &'a str,
         /// Field values in declaration order.
-        fields: Vec<Expr>,
+        fields: Vec<Expr<'a>>,
         /// Source position.
         pos: Pos,
     },
 }
 
-impl Expr {
+impl Expr<'_> {
     /// Source position of an expression.
     pub fn pos(&self) -> Pos {
         match self {
@@ -248,7 +249,7 @@ impl Expr {
 
 /// A parsed program.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct Program {
+pub struct Program<'a> {
     /// Top-level items in source order.
-    pub items: Vec<Item>,
+    pub items: Vec<Item<'a>>,
 }

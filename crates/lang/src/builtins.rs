@@ -1,30 +1,10 @@
 //! Built-in functions, skeletons and constants of the Skil language.
 
-use crate::types::{Scheme, Ty};
-use std::collections::HashMap;
+use crate::types::{BScheme, BTy, Ty};
+use BTy::{Bounds, Float, Index, Int, List, Void, V};
 
-/// Base id for the generic variables used in builtin schemes (replaced by
-/// fresh variables at every instantiation, so the ids never leak).
-const G: u32 = 1_000_000;
-
-fn v(i: u32) -> Ty {
-    Ty::Var(G + i)
-}
-
-fn arr(t: Ty) -> Ty {
-    Ty::Pardata("array".into(), vec![t])
-}
-
-fn list(t: Ty) -> Ty {
-    Ty::List(Box::new(t))
-}
-
-fn fun(args: Vec<Ty>, ret: Ty) -> Ty {
-    Ty::Fun(args, Box::new(ret))
-}
-
-fn scheme(nvars: u32, ty: Ty) -> Scheme {
-    Scheme { vars: (0..nvars).map(|i| G + i).collect(), ty }
+const fn scheme(nvars: u8, ty: BTy) -> BScheme {
+    BScheme { nvars, ty }
 }
 
 /// The names of the data-parallel skeletons (calls to these become
@@ -68,132 +48,135 @@ pub const INTRINSICS: [&str; 21] = [
     "error",
 ];
 
-/// Type schemes of every builtin function.
-pub fn builtin_schemes() -> HashMap<String, Scheme> {
-    let mut m = HashMap::new();
-    let mut add = |name: &str, s: Scheme| {
-        m.insert(name.to_string(), s);
-    };
-
+/// Type schemes of every builtin function, as static data: nothing is
+/// built per compile, and each use instantiates the scheme straight into
+/// the unifier's store.
+pub static BUILTIN_SCHEMES: [(&str, BScheme); 32] = [
     // --- skeletons (paper §3) ---
-    add(
+    (
         "array_create",
         scheme(
             1,
-            fun(
-                vec![
-                    Ty::Int,                    // dim
-                    Ty::Index,                  // size
-                    Ty::Index,                  // blocksize
-                    Ty::Index,                  // lowerbd
-                    fun(vec![Ty::Index], v(0)), // init_elem
-                    Ty::Int,                    // distr
+            BTy::Fun(
+                &[
+                    Int,                       // dim
+                    Index,                     // size
+                    Index,                     // blocksize
+                    Index,                     // lowerbd
+                    BTy::Fun(&[Index], &V(0)), // init_elem
+                    Int,                       // distr
                 ],
-                arr(v(0)),
+                &BTy::Arr(&V(0)),
             ),
         ),
-    );
-    add("array_destroy", scheme(1, fun(vec![arr(v(0))], Ty::Void)));
-    add(
+    ),
+    ("array_destroy", scheme(1, BTy::Fun(&[BTy::Arr(&V(0))], &Void))),
+    (
         "array_map",
-        scheme(2, fun(vec![fun(vec![v(0), Ty::Index], v(1)), arr(v(0)), arr(v(1))], Ty::Void)),
-    );
-    add(
+        scheme(
+            2,
+            BTy::Fun(&[BTy::Fun(&[V(0), Index], &V(1)), BTy::Arr(&V(0)), BTy::Arr(&V(1))], &Void),
+        ),
+    ),
+    (
         "array_fold",
         scheme(
             2,
-            fun(
-                vec![fun(vec![v(0), Ty::Index], v(1)), fun(vec![v(1), v(1)], v(1)), arr(v(0))],
-                v(1),
+            BTy::Fun(
+                &[BTy::Fun(&[V(0), Index], &V(1)), BTy::Fun(&[V(1), V(1)], &V(1)), BTy::Arr(&V(0))],
+                &V(1),
             ),
         ),
-    );
-    add("array_copy", scheme(1, fun(vec![arr(v(0)), arr(v(0))], Ty::Void)));
-    add("array_broadcast_part", scheme(1, fun(vec![arr(v(0)), Ty::Index], Ty::Void)));
-    add(
+    ),
+    ("array_copy", scheme(1, BTy::Fun(&[BTy::Arr(&V(0)), BTy::Arr(&V(0))], &Void))),
+    ("array_broadcast_part", scheme(1, BTy::Fun(&[BTy::Arr(&V(0)), Index], &Void))),
+    (
         "array_permute_rows",
-        scheme(1, fun(vec![arr(v(0)), fun(vec![Ty::Int], Ty::Int), arr(v(0))], Ty::Void)),
-    );
-    add(
+        scheme(1, BTy::Fun(&[BTy::Arr(&V(0)), BTy::Fun(&[Int], &Int), BTy::Arr(&V(0))], &Void)),
+    ),
+    (
         "array_gen_mult",
         scheme(
             1,
-            fun(
-                vec![
-                    arr(v(0)),
-                    arr(v(0)),
-                    fun(vec![v(0), v(0)], v(0)),
-                    fun(vec![v(0), v(0)], v(0)),
-                    arr(v(0)),
+            BTy::Fun(
+                &[
+                    BTy::Arr(&V(0)),
+                    BTy::Arr(&V(0)),
+                    BTy::Fun(&[V(0), V(0)], &V(0)),
+                    BTy::Fun(&[V(0), V(0)], &V(0)),
+                    BTy::Arr(&V(0)),
                 ],
-                Ty::Void,
+                &Void,
             ),
         ),
-    );
-
-    add(
+    ),
+    (
         "array_scan",
-        scheme(1, fun(vec![fun(vec![v(0), v(0)], v(0)), arr(v(0)), arr(v(0))], Ty::Void)),
-    );
-
+        scheme(
+            1,
+            BTy::Fun(&[BTy::Fun(&[V(0), V(0)], &V(0)), BTy::Arr(&V(0)), BTy::Arr(&V(0))], &Void),
+        ),
+    ),
     // --- task-parallel skeletons (the paper's introduction) ---
     // $b d&c(int is_trivial($a), $b solve($a), list<$a> split($a),
     //        $b join(list<$b>), $a problem)
-    add(
+    (
         "dc",
         scheme(
             2,
-            fun(
-                vec![
-                    fun(vec![v(0)], Ty::Int),
-                    fun(vec![v(0)], v(1)),
-                    fun(vec![v(0)], list(v(0))),
-                    fun(vec![list(v(1))], v(1)),
-                    v(0),
+            BTy::Fun(
+                &[
+                    BTy::Fun(&[V(0)], &Int),
+                    BTy::Fun(&[V(0)], &V(1)),
+                    BTy::Fun(&[V(0)], &List(&V(0))),
+                    BTy::Fun(&[List(&V(1))], &V(1)),
+                    V(0),
                 ],
-                v(1),
+                &V(1),
             ),
         ),
-    );
-    add("farm", scheme(2, fun(vec![fun(vec![v(0)], v(1)), list(v(0))], list(v(1)))));
-
+    ),
+    ("farm", scheme(2, BTy::Fun(&[BTy::Fun(&[V(0)], &V(1)), List(&V(0))], &List(&V(1))))),
     // --- lists ---
-    add("nil", scheme(1, fun(vec![], list(v(0)))));
-    add("cons", scheme(1, fun(vec![v(0), list(v(0))], list(v(0)))));
-    add("head", scheme(1, fun(vec![list(v(0))], v(0))));
-    add("tail", scheme(1, fun(vec![list(v(0))], list(v(0)))));
-    add("len", scheme(1, fun(vec![list(v(0))], Ty::Int)));
-    add("append", scheme(1, fun(vec![list(v(0)), list(v(0))], list(v(0)))));
-
+    ("nil", scheme(1, BTy::Fun(&[], &List(&V(0))))),
+    ("cons", scheme(1, BTy::Fun(&[V(0), List(&V(0))], &List(&V(0))))),
+    ("head", scheme(1, BTy::Fun(&[List(&V(0))], &V(0)))),
+    ("tail", scheme(1, BTy::Fun(&[List(&V(0))], &List(&V(0))))),
+    ("len", scheme(1, BTy::Fun(&[List(&V(0))], &Int))),
+    ("append", scheme(1, BTy::Fun(&[List(&V(0)), List(&V(0))], &List(&V(0))))),
     // --- local element access (the paper's macros) ---
-    add("array_get_elem", scheme(1, fun(vec![arr(v(0)), Ty::Index], v(0))));
-    add("array_put_elem", scheme(1, fun(vec![arr(v(0)), Ty::Index, v(0)], Ty::Void)));
-    add("array_part_bounds", scheme(1, fun(vec![arr(v(0))], Ty::Bounds)));
-
+    ("array_get_elem", scheme(1, BTy::Fun(&[BTy::Arr(&V(0)), Index], &V(0)))),
+    ("array_put_elem", scheme(1, BTy::Fun(&[BTy::Arr(&V(0)), Index, V(0)], &Void))),
+    ("array_part_bounds", scheme(1, BTy::Fun(&[BTy::Arr(&V(0))], &Bounds))),
     // --- scalar intrinsics ---
-    add("abs", scheme(0, fun(vec![Ty::Int], Ty::Int)));
-    add("fabs", scheme(0, fun(vec![Ty::Float], Ty::Float)));
-    add("min", scheme(0, fun(vec![Ty::Int, Ty::Int], Ty::Int)));
-    add("max", scheme(0, fun(vec![Ty::Int, Ty::Int], Ty::Int)));
-    add("fmin", scheme(0, fun(vec![Ty::Float, Ty::Float], Ty::Float)));
-    add("fmax", scheme(0, fun(vec![Ty::Float, Ty::Float], Ty::Float)));
-    add("sqrt", scheme(0, fun(vec![Ty::Float], Ty::Float)));
-    add("itof", scheme(0, fun(vec![Ty::Int], Ty::Float)));
-    add("ftoi", scheme(0, fun(vec![Ty::Float], Ty::Int)));
-    add("log2i", scheme(0, fun(vec![Ty::Int], Ty::Int)));
-    add("print", scheme(1, fun(vec![v(0)], Ty::Void)));
-    add("error", scheme(0, fun(vec![Ty::Int], Ty::Void)));
-    m
+    ("abs", scheme(0, BTy::Fun(&[Int], &Int))),
+    ("fabs", scheme(0, BTy::Fun(&[Float], &Float))),
+    ("min", scheme(0, BTy::Fun(&[Int, Int], &Int))),
+    ("max", scheme(0, BTy::Fun(&[Int, Int], &Int))),
+    ("fmin", scheme(0, BTy::Fun(&[Float, Float], &Float))),
+    ("fmax", scheme(0, BTy::Fun(&[Float, Float], &Float))),
+    ("sqrt", scheme(0, BTy::Fun(&[Float], &Float))),
+    ("itof", scheme(0, BTy::Fun(&[Int], &Float))),
+    ("ftoi", scheme(0, BTy::Fun(&[Float], &Int))),
+    ("log2i", scheme(0, BTy::Fun(&[Int], &Int))),
+    ("print", scheme(1, BTy::Fun(&[V(0)], &Void))),
+    ("error", scheme(0, BTy::Fun(&[Int], &Void))),
+];
+
+/// The type scheme of builtin function `name`.
+pub fn builtin_scheme(name: &str) -> Option<&'static BScheme> {
+    BUILTIN_SCHEMES.iter().find(|(n, _)| *n == name).map(|(_, s)| s)
 }
 
-/// Built-in constants and their types.
-pub fn builtin_consts() -> HashMap<String, Ty> {
-    let mut m = HashMap::new();
-    for name in ["procId", "nProcs", "int_max", "DISTR_DEFAULT", "DISTR_RING", "DISTR_TORUS2D"] {
-        m.insert(name.to_string(), Ty::Int);
+/// The type of builtin constant `name`.
+pub fn builtin_const(name: &str) -> Option<Ty> {
+    match name {
+        "procId" | "nProcs" | "int_max" | "DISTR_DEFAULT" | "DISTR_RING" | "DISTR_TORUS2D" => {
+            Some(Ty::INT)
+        }
+        "flt_max" => Some(Ty::FLOAT),
+        _ => None,
     }
-    m.insert("flt_max".into(), Ty::Float);
-    m
 }
 
 /// Values of the distribution constants (shared with the interpreter).
@@ -209,29 +192,29 @@ mod tests {
 
     #[test]
     fn all_skeletons_have_schemes() {
-        let m = builtin_schemes();
         for s in SKELETONS {
-            assert!(m.contains_key(s), "{s}");
+            assert!(builtin_scheme(s).is_some(), "{s}");
         }
         for s in INTRINSICS {
-            assert!(m.contains_key(s), "{s}");
+            assert!(builtin_scheme(s).is_some(), "{s}");
         }
+        assert_eq!(BUILTIN_SCHEMES.len(), SKELETONS.len() + INTRINSICS.len());
     }
 
     #[test]
     fn gen_mult_scheme_shape() {
-        let m = builtin_schemes();
-        let s = &m["array_gen_mult"];
-        assert_eq!(s.vars.len(), 1);
-        let Ty::Fun(params, ret) = &s.ty else { panic!() };
+        let s = builtin_scheme("array_gen_mult").unwrap();
+        assert_eq!(s.nvars, 1);
+        let BTy::Fun(params, ret) = &s.ty else { panic!() };
         assert_eq!(params.len(), 5);
-        assert_eq!(**ret, Ty::Void);
+        assert!(matches!(ret, BTy::Void));
     }
 
     #[test]
     fn consts_present() {
-        let c = builtin_consts();
-        assert_eq!(c["procId"], Ty::Int);
-        assert_eq!(c["DISTR_TORUS2D"], Ty::Int);
+        assert_eq!(builtin_const("procId"), Some(Ty::INT));
+        assert_eq!(builtin_const("DISTR_TORUS2D"), Some(Ty::INT));
+        assert_eq!(builtin_const("flt_max"), Some(Ty::FLOAT));
+        assert_eq!(builtin_const("print"), None);
     }
 }

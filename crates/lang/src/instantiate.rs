@@ -25,54 +25,58 @@
 use std::collections::HashMap;
 
 use crate::ast::{Expr, Func, Stmt, TypeExpr};
-use crate::builtins::{INTRINSICS, SKELETONS};
-use crate::check::{Checked, Scopes};
+use crate::builtins::{builtin_const, INTRINSICS, SKELETONS};
+use crate::check::{array_elem, check_index_arity, Checked, Scopes};
 use crate::diag::{Diag, Phase, Pos, Result};
 use crate::fo::*;
-use crate::types::{Ty, TypeDefs, Unifier};
+use crate::types::{Kids, Sym, Ty, TyKind, VarMap, ARRAY};
 
 /// What a functional value ultimately names.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum Target {
+pub enum Target<'a> {
     /// A user-defined function.
-    User(String),
+    User(&'a str),
     /// An operator section, monomorphized at the given operand type.
-    Op(String, FoTy),
+    Op(&'static str, FoTy),
     /// A scalar builtin (e.g. `min` used as a folding function).
-    Intrinsic(String),
+    Intrinsic(&'static str),
 }
 
 /// One element of a partial application's argument prefix.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum PrefixItem {
+pub enum PrefixItem<'a> {
     /// A lifted value argument of the given type.
     Val(FoTy),
     /// A functional argument, itself resolved.
-    Fn(FnSig),
+    Fn(FnSig<'a>),
 }
 
 /// The static identity of a functional value: the target plus the shape
 /// of the applied prefix. Two functional arguments with equal `FnSig`s
 /// share one instance.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct FnSig {
+pub struct FnSig<'a> {
     /// The named target.
-    pub target: Target,
+    pub target: Target<'a>,
     /// Already-applied argument prefix.
-    pub prefix: Vec<PrefixItem>,
+    pub prefix: Vec<PrefixItem<'a>>,
 }
 
-impl FnSig {
+impl FnSig<'_> {
     /// The lifted value types, flattened in evaluation order.
     pub fn flat_val_tys(&self) -> Vec<FoTy> {
         let mut out = Vec::new();
+        self.push_val_tys(&mut out);
+        out
+    }
+
+    fn push_val_tys(&self, out: &mut Vec<FoTy>) {
         for it in &self.prefix {
             match it {
                 PrefixItem::Val(t) => out.push(t.clone()),
-                PrefixItem::Fn(s) => out.extend(s.flat_val_tys()),
+                PrefixItem::Fn(s) => s.push_val_tys(out),
             }
         }
-        out
     }
 }
 
@@ -80,14 +84,14 @@ impl FnSig {
 /// the lifted argument expressions (flattened, matching
 /// [`FnSig::flat_val_tys`]).
 #[derive(Debug, Clone)]
-pub struct FnVal {
+pub struct FnVal<'a> {
     /// Static identity.
-    pub sig: FnSig,
+    pub sig: FnSig<'a>,
     /// Lifted argument expressions.
     pub lifted: Vec<FoExpr>,
 }
 
-type InstKey = (String, Vec<FoTy>, Vec<FnSig>);
+type InstKey<'a> = (&'a str, Vec<FoTy>, Vec<FnSig<'a>>);
 
 /// Run the instantiation procedure on a checked program.
 pub fn instantiate(ck: &mut Checked) -> Result<FoProgram> {
@@ -96,6 +100,7 @@ pub fn instantiate(ck: &mut Checked) -> Result<FoProgram> {
         memo: HashMap::new(),
         synth_memo: HashMap::new(),
         struct_memo: HashMap::new(),
+        struct_origin: HashMap::new(),
         counters: HashMap::new(),
         out: FoProgram::default(),
     };
@@ -105,31 +110,63 @@ pub fn instantiate(ck: &mut Checked) -> Result<FoProgram> {
     Ok(inst.out)
 }
 
-struct Instantiator<'a> {
-    ck: &'a mut Checked,
-    memo: HashMap<InstKey, String>,
-    synth_memo: HashMap<(Target, usize, Vec<FoTy>), String>,
-    struct_memo: HashMap<(String, Vec<FoTy>), String>,
+struct Instantiator<'c, 'a> {
+    ck: &'c mut Checked<'a>,
+    memo: HashMap<InstKey<'a>, String>,
+    synth_memo: HashMap<(Target<'a>, usize, Vec<FoTy>), String>,
+    struct_memo: HashMap<(&'a str, Vec<FoTy>), String>,
+    /// Struct instance name -> (struct, type arguments).
+    struct_origin: HashMap<String, (&'a str, Vec<FoTy>)>,
     counters: HashMap<String, usize>,
     out: FoProgram,
 }
 
 /// Per-instance translation context.
-struct Ctx {
+struct Ctx<'a> {
     /// `$name` -> concrete type for this instance.
-    var_map: HashMap<String, Ty>,
+    var_map: VarMap<'a>,
     /// Functional parameter bindings.
-    fn_bindings: HashMap<String, FnVal>,
-    /// Local value scopes (shared with the checker's inference).
-    scopes: Scopes,
+    fn_bindings: Vec<(&'a str, FnVal<'a>)>,
+    /// Local value scopes.
+    scopes: Scopes<'a>,
     /// The instance's return type.
     ret: Ty,
 }
 
-impl<'a> Instantiator<'a> {
+impl<'a> Ctx<'a> {
+    fn binding(&self, name: &str) -> Option<&FnVal<'a>> {
+        self.fn_bindings.iter().find(|(n, _)| *n == name).map(|(_, v)| v)
+    }
+}
+
+/// Flatten a curried application chain `f(a)(b)` into its base and the
+/// argument list `[a, b]`.
+fn flatten_call<'e, 'a>(e: &'e Expr<'a>) -> (&'e Expr<'a>, Vec<&'e Expr<'a>>) {
+    let mut base = e;
+    let mut groups: Vec<&[Expr]> = Vec::new();
+    while let Expr::Call { callee, args, .. } = base {
+        groups.push(args);
+        base = callee;
+    }
+    (base, groups.into_iter().rev().flatten().collect())
+}
+
+fn intrinsic(name: &str) -> Option<&'static str> {
+    INTRINSICS.iter().copied().find(|&n| n == name)
+}
+
+impl<'c, 'a> Instantiator<'c, 'a> {
     fn fresh_name(&mut self, base: &str) -> String {
-        let n = self.counters.entry(base.to_string()).or_insert(0);
-        *n += 1;
+        let n = match self.counters.get_mut(base) {
+            Some(n) => {
+                *n += 1;
+                *n
+            }
+            None => {
+                self.counters.insert(base.to_string(), 1);
+                1
+            }
+        };
         format!("{base}_{n}")
     }
 
@@ -137,89 +174,102 @@ impl<'a> Instantiator<'a> {
         Err(Diag::new(Phase::Instantiate, pos, msg.into()))
     }
 
+    fn is_float(&self, t: Ty) -> bool {
+        self.ck.uni.resolve(t) == TyKind::Float
+    }
+
+    fn kid(&self, k: Kids, i: usize) -> Ty {
+        self.ck.uni.kid(k, i)
+    }
+
+    fn unify(&mut self, a: Ty, b: Ty, pos: Pos) -> Result<()> {
+        self.ck.uni.unify(a, b, pos)
+    }
+
     // ------------------------------------------------------------------
     // types
     // ------------------------------------------------------------------
 
-    fn foty(&mut self, ty: &Ty, pos: Pos) -> Result<FoTy> {
-        let ty = self.ck.uni.resolve(ty);
-        match ty {
-            Ty::Int => Ok(FoTy::Int),
-            Ty::Float => Ok(FoTy::Float),
-            Ty::Void => Ok(FoTy::Void),
-            Ty::Index => Ok(FoTy::Index),
-            Ty::Bounds => Ok(FoTy::Bounds),
-            Ty::Var(_) => self.err(
+    fn foty(&mut self, ty: Ty, pos: Pos) -> Result<FoTy> {
+        match self.ck.uni.resolve(ty) {
+            TyKind::Int => Ok(FoTy::Int),
+            TyKind::Float => Ok(FoTy::Float),
+            TyKind::Void => Ok(FoTy::Void),
+            TyKind::Index => Ok(FoTy::Index),
+            TyKind::Bounds => Ok(FoTy::Bounds),
+            TyKind::Var(_) => self.err(
                 pos,
                 "type is not determined by this call; the instantiation procedure \
                  requires every instance to be fully monomorphic",
             ),
-            Ty::Fun(_, _) => self.err(
+            TyKind::Fun(_, _) => self.err(
                 pos,
                 "a function-typed value survives to a first-order position; \
                  function results require eta-expansion, which Skil restricts away",
             ),
-            Ty::List(t) => Ok(FoTy::List(Box::new(self.foty(&t, pos)?))),
-            Ty::Pardata(n, args) => {
-                if n != "array" {
+            TyKind::List(t) => Ok(FoTy::List(Box::new(self.foty(t, pos)?))),
+            TyKind::Pardata(n, args) => {
+                if n != ARRAY {
+                    let n = self.ck.uni.name(n);
                     return self.err(
                         pos,
                         format!("pardata `{n}` has no implementation linked into this build"),
                     );
                 }
-                let el = self.foty(&args[0], pos)?;
+                let el = self.foty(self.kid(args, 0), pos)?;
                 Ok(FoTy::Array(Box::new(el)))
             }
-            Ty::Struct(n, args) => {
-                let name = self.struct_instance(&n, &args, pos)?;
-                Ok(FoTy::Struct(name))
-            }
+            TyKind::Struct(n, args) => Ok(FoTy::Struct(self.struct_instance(n, args, pos)?)),
         }
     }
 
-    fn ty_of(&self, t: &FoTy) -> Ty {
+    fn ty_of(&mut self, t: &FoTy) -> Ty {
         match t {
-            FoTy::Int => Ty::Int,
-            FoTy::Float => Ty::Float,
-            FoTy::Void => Ty::Void,
-            FoTy::Index => Ty::Index,
-            FoTy::Bounds => Ty::Bounds,
-            FoTy::List(el) => Ty::List(Box::new(self.ty_of(el))),
-            FoTy::Array(el) => Ty::Pardata("array".into(), vec![self.ty_of(el)]),
+            FoTy::Int => Ty::INT,
+            FoTy::Float => Ty::FLOAT,
+            FoTy::Void => Ty::VOID,
+            FoTy::Index => Ty::INDEX,
+            FoTy::Bounds => Ty::BOUNDS,
+            FoTy::List(el) => {
+                let el = self.ty_of(el);
+                self.ck.uni.list(el)
+            }
+            FoTy::Array(el) => {
+                let el = self.ty_of(el);
+                self.ck.uni.pardata(ARRAY, &[el])
+            }
             FoTy::Struct(inst) => {
-                // struct instances are looked up by their original name +
-                // argument types, memoized below
-                let ((orig, args), _) = self
-                    .struct_memo
-                    .iter()
-                    .find(|(_, v)| *v == inst)
-                    .expect("struct instance registered");
-                Ty::Struct(orig.clone(), args.iter().map(|a| self.ty_of(a)).collect())
+                let (orig, args) = self.struct_origin[inst].clone();
+                let args: Vec<Ty> = args.iter().map(|a| self.ty_of(a)).collect();
+                let s = self.ck.uni.sym(orig);
+                self.ck.uni.strukt(s, &args)
             }
         }
     }
 
-    fn struct_instance(&mut self, name: &str, args: &[Ty], pos: Pos) -> Result<String> {
-        let fo_args: Vec<FoTy> =
-            args.iter().map(|a| self.foty(a, pos)).collect::<Result<Vec<_>>>()?;
-        let key = (name.to_string(), fo_args.clone());
+    fn struct_instance(&mut self, s: Sym, args: Kids, pos: Pos) -> Result<String> {
+        let fo_args = (0..args.len())
+            .map(|i| self.foty(self.kid(args, i), pos))
+            .collect::<Result<Vec<_>>>()?;
+        let (name, def) = self.ck.struct_entry(s);
+        let key = (name, fo_args);
         if let Some(n) = self.struct_memo.get(&key) {
             return Ok(n.clone());
         }
-        let inst_name = if fo_args.is_empty() {
+        let inst_name = if key.1.is_empty() {
             name.to_string()
         } else {
-            let suffix: Vec<String> = fo_args.iter().map(|t| t.cname()).collect();
+            let suffix: Vec<String> = key.1.iter().map(|t| t.cname()).collect();
             format!("{name}_{}", suffix.join("_"))
         };
+        self.struct_origin.insert(inst_name.clone(), key.clone());
         self.struct_memo.insert(key, inst_name.clone());
-        let (params, fields) = self.ck.defs.structs[name].clone();
-        let mut var_map: HashMap<String, Ty> =
-            params.iter().cloned().zip(args.iter().cloned()).collect();
-        let mut fo_fields = Vec::new();
-        for (fname, fty) in &fields {
-            let t = lower(&self.ck.defs, fty, &mut var_map, &mut self.ck.uni, false, pos)?;
-            fo_fields.push((fname.clone(), self.foty(&t, pos)?));
+        let mut var_map = self.ck.struct_vars(def, args);
+        let mut fo_fields = Vec::with_capacity(def.1.len());
+        for (fname, fty) in def.1 {
+            let ck = &mut *self.ck;
+            let t = ck.defs.lower(fty, &mut var_map, &mut ck.uni, false, pos)?;
+            fo_fields.push((fname.to_string(), self.foty(t, pos)?));
         }
         self.out.structs.push(FoStruct { name: inst_name.clone(), fields: fo_fields });
         Ok(inst_name)
@@ -240,76 +290,65 @@ impl<'a> Instantiator<'a> {
     /// types and functional bindings; returns the instance name.
     fn request_instance(
         &mut self,
-        fname: &str,
+        fname: &'a str,
         value_tys: Vec<FoTy>,
-        fn_sigs: Vec<FnSig>,
+        fn_sigs: Vec<FnSig<'a>>,
         pos: Pos,
     ) -> Result<String> {
-        let key: InstKey = (fname.to_string(), value_tys.clone(), fn_sigs.clone());
+        let key: InstKey = (fname, value_tys, fn_sigs);
         if let Some(n) = self.memo.get(&key) {
             return Ok(n.clone());
         }
         let inst_name = if fname == "main" { "main".to_string() } else { self.fresh_name(fname) };
-        self.memo.insert(key, inst_name.clone());
+        self.memo.insert(key.clone(), inst_name.clone());
+        let (_, value_tys, fn_sigs) = key;
 
-        let f: Func = self.ck.user_funcs.get(fname).cloned().ok_or_else(|| {
+        let f: &'a Func<'a> = self.ck.funcs.get(fname).map(|u| u.func).ok_or_else(|| {
             Diag::new(Phase::Instantiate, pos, format!("unknown function `{fname}`"))
         })?;
 
         // Lower the signature with instance-fresh type variables.
-        let mut var_map: HashMap<String, Ty> = HashMap::new();
-        let mut param_tys = Vec::new();
+        let mut var_map = VarMap::new();
+        let mut param_tys = Vec::with_capacity(f.params.len());
         for p in &f.params {
-            param_tys.push(lower(
-                &self.ck.defs,
-                &p.ty,
-                &mut var_map,
-                &mut self.ck.uni,
-                true,
-                p.pos,
-            )?);
+            let ck = &mut *self.ck;
+            param_tys.push(ck.defs.lower(&p.ty, &mut var_map, &mut ck.uni, true, p.pos)?);
         }
-        let ret = lower(&self.ck.defs, &f.ret, &mut var_map, &mut self.ck.uni, true, f.pos)?;
+        let ck = &mut *self.ck;
+        let ret = ck.defs.lower(&f.ret, &mut var_map, &mut ck.uni, true, f.pos)?;
 
         // Bind value parameters to the requested concrete types and
         // functional parameters to their targets' applied types.
-        let mut ctx = Ctx {
-            var_map,
-            fn_bindings: HashMap::new(),
-            scopes: Scopes::default(),
-            ret: ret.clone(),
-        };
+        let mut ctx = Ctx { var_map, fn_bindings: Vec::new(), scopes: Scopes::default(), ret };
         ctx.scopes.push();
 
-        let mut fo_params: Vec<(String, FoTy)> = Vec::new();
-        let mut vt = value_tys.iter();
-        let mut fs = fn_sigs.iter();
-        for (p, pty) in f.params.iter().zip(&param_tys) {
+        let mut fo_params: Vec<(String, FoTy)> = Vec::with_capacity(f.params.len());
+        let mut vt = value_tys.into_iter();
+        let mut fs = fn_sigs.into_iter();
+        for (p, &pty) in f.params.iter().zip(&param_tys) {
             if matches!(p.ty, TypeExpr::Fun(_, _)) {
-                let sig = fs
-                    .next()
-                    .ok_or_else(|| {
-                        Diag::new(
-                            Phase::Instantiate,
-                            p.pos,
-                            format!("missing functional binding for parameter `{}`", p.name),
-                        )
-                    })?
-                    .clone();
+                let sig = fs.next().ok_or_else(|| {
+                    Diag::new(
+                        Phase::Instantiate,
+                        p.pos,
+                        format!("missing functional binding for parameter `{}`", p.name),
+                    )
+                })?;
                 // Unify the parameter's function type with the target's
                 // applied type so element types become concrete inside.
                 let applied = self.sig_applied_ty(&sig, p.pos)?;
-                self.ck.uni.unify(pty, &applied, p.pos)?;
+                self.unify(pty, applied, p.pos)?;
                 // Lifted values become extra instance parameters.
                 let mut lifted_exprs = Vec::new();
-                for (i, lt) in sig.flat_val_tys().iter().enumerate() {
+                for (i, lt) in sig.flat_val_tys().into_iter().enumerate() {
                     let lname = format!("{}__l{i}", p.name);
-                    fo_params.push((lname.clone(), lt.clone()));
-                    ctx.scopes.declare(&lname, self.ty_of(lt));
-                    lifted_exprs.push(FoExpr::Var(lname));
+                    let lty = self.ty_of(&lt);
+                    ctx.scopes.declare(lname.clone(), lty);
+                    lifted_exprs.push(FoExpr::Var(lname.clone()));
+                    fo_params.push((lname, lt));
                 }
-                ctx.scopes.declare(&p.name, pty.clone());
-                ctx.fn_bindings.insert(p.name.clone(), FnVal { sig, lifted: lifted_exprs });
+                ctx.scopes.declare(p.name, pty);
+                ctx.fn_bindings.push((p.name, FnVal { sig, lifted: lifted_exprs }));
             } else {
                 let want = vt.next().ok_or_else(|| {
                     Diag::new(
@@ -318,14 +357,15 @@ impl<'a> Instantiator<'a> {
                         format!("missing value type for parameter `{}`", p.name),
                     )
                 })?;
-                self.ck.uni.unify(pty, &self.ty_of(want), p.pos)?;
-                fo_params.push((p.name.clone(), want.clone()));
-                ctx.scopes.declare(&p.name, pty.clone());
+                let wt = self.ty_of(&want);
+                self.unify(pty, wt, p.pos)?;
+                fo_params.push((p.name.to_string(), want));
+                ctx.scopes.declare(p.name, pty);
             }
         }
 
         let body = self.tr_block(&f.body.0, &mut ctx)?;
-        let ret_fo = self.foty(&ret, f.pos)?;
+        let ret_fo = self.foty(ret, f.pos)?;
         self.out.funcs.push(FoFunc {
             name: inst_name.clone(),
             origin: fname.to_string(),
@@ -338,67 +378,64 @@ impl<'a> Instantiator<'a> {
 
     /// The (curried) type a functional value presents after its prefix
     /// has been applied.
-    fn sig_applied_ty(&mut self, sig: &FnSig, pos: Pos) -> Result<Ty> {
+    fn sig_applied_ty(&mut self, sig: &FnSig<'a>, pos: Pos) -> Result<Ty> {
         match &sig.target {
             Target::User(h) => {
-                let scheme = self.ck.funcs[h].clone();
-                let t = self.ck.uni.instantiate(&scheme);
-                let Ty::Fun(ptys, rty) = t else {
+                let t = self.ck.instantiate_fn(h).expect("user function has a scheme");
+                let TyKind::Fun(ptys, rty) = self.ck.uni.kind(t) else {
                     return self.err(pos, format!("`{h}` is not a function"));
                 };
                 let l = sig.prefix.len();
                 if l > ptys.len() {
                     return self.err(pos, format!("over-applied prefix for `{h}`"));
                 }
-                for (item, pty) in sig.prefix.iter().zip(&ptys) {
-                    match item {
-                        PrefixItem::Val(ft) => {
-                            let want = self.ty_of(ft);
-                            self.ck.uni.unify(pty, &want, pos)?;
-                        }
-                        PrefixItem::Fn(inner) => {
-                            let applied = self.sig_applied_ty(inner, pos)?;
-                            self.ck.uni.unify(pty, &applied, pos)?;
-                        }
-                    }
+                for (i, item) in sig.prefix.iter().enumerate() {
+                    let pty = self.kid(ptys, i);
+                    let want = match item {
+                        PrefixItem::Val(ft) => self.ty_of(ft),
+                        PrefixItem::Fn(inner) => self.sig_applied_ty(inner, pos)?,
+                    };
+                    self.unify(pty, want, pos)?;
                 }
-                Ok(Ty::Fun(ptys[l..].to_vec(), rty))
+                Ok(self.ck.uni.fun_of(ptys.skip(l), rty))
             }
             Target::Op(op, ft) => {
                 let a = self.ty_of(ft);
-                let ret = match op.as_str() {
-                    "+" | "-" | "*" | "/" | "%" => a.clone(),
-                    _ => Ty::Int,
+                let ret = match *op {
+                    "+" | "-" | "*" | "/" | "%" => a,
+                    _ => Ty::INT,
                 };
-                let l = sig.prefix.len();
-                let params = [a.clone(), a];
-                Ok(Ty::Fun(params[l..].to_vec(), Box::new(ret)))
+                let l = sig.prefix.len().min(2);
+                Ok(self.ck.uni.fun(&[a, a][l..], ret))
             }
             Target::Intrinsic(name) => {
-                let scheme = self.ck.funcs[name].clone();
-                let t = self.ck.uni.instantiate(&scheme);
-                let Ty::Fun(ptys, rty) = t else {
+                let t = self.ck.instantiate_fn(name).expect("intrinsic has a scheme");
+                let TyKind::Fun(ptys, rty) = self.ck.uni.kind(t) else {
                     return self.err(pos, format!("`{name}` is not a function"));
                 };
                 let l = sig.prefix.len();
-                for (item, pty) in sig.prefix.iter().zip(&ptys) {
+                for (i, item) in sig.prefix.iter().enumerate().take(ptys.len()) {
                     if let PrefixItem::Val(ft) = item {
                         let want = self.ty_of(ft);
-                        self.ck.uni.unify(pty, &want, pos)?;
+                        self.unify(self.kid(ptys, i), want, pos)?;
                     }
                 }
-                Ok(Ty::Fun(ptys[l..].to_vec(), rty))
+                Ok(self.ck.uni.fun_of(ptys.skip(l), rty))
             }
         }
     }
 
     /// The first-order instance a [`FnSig`] calls into, given the types
     /// of the remaining (element) arguments.
-    fn instance_for_sig(&mut self, sig: &FnSig, remaining_tys: &[Ty], pos: Pos) -> Result<String> {
+    fn instance_for_sig(
+        &mut self,
+        sig: &FnSig<'a>,
+        remaining_tys: &[Ty],
+        pos: Pos,
+    ) -> Result<String> {
         match &sig.target {
             Target::User(h) => {
-                let h = h.clone();
-                let ast = self.ck.user_funcs[&h].clone();
+                let ast = self.ck.funcs[h].func;
                 let mut value_tys = Vec::new();
                 let mut fn_sigs = Vec::new();
                 let mut rem = remaining_tys.iter();
@@ -419,7 +456,7 @@ impl<'a> Instantiator<'a> {
                                 ),
                             );
                         }
-                        let t = rem.next().ok_or_else(|| {
+                        let &t = rem.next().ok_or_else(|| {
                             Diag::new(
                                 Phase::Instantiate,
                                 pos,
@@ -429,22 +466,24 @@ impl<'a> Instantiator<'a> {
                         value_tys.push(self.foty(t, pos)?);
                     }
                 }
-                self.request_instance(&h, value_tys, fn_sigs, pos)
+                self.request_instance(h, value_tys, fn_sigs, pos)
             }
-            Target::Op(op, ft) => self.synth_op(op.clone(), ft.clone(), sig.prefix.len(), pos),
-            Target::Intrinsic(name) => self.synth_intrinsic(name.clone(), sig, remaining_tys, pos),
+            Target::Op(op, ft) => self.synth_op(op, ft.clone(), sig.prefix.len(), pos),
+            Target::Intrinsic(name) => self.synth_intrinsic(name, sig, remaining_tys, pos),
         }
     }
 
     /// Synthesize the first-order function an operator section denotes
     /// (the paper's `(op)` conversion), e.g. `op_add_int(a, b)`.
-    fn synth_op(&mut self, op: String, ft: FoTy, lifted: usize, pos: Pos) -> Result<String> {
-        let key = (Target::Op(op.clone(), ft.clone()), lifted, vec![]);
+    fn synth_op(&mut self, op: &'static str, ft: FoTy, lifted: usize, pos: Pos) -> Result<String> {
+        let key = (Target::Op(op, ft), lifted, vec![]);
         if let Some(n) = self.synth_memo.get(&key) {
             return Ok(n.clone());
         }
+        let Target::Op(_, ft) = &key.0 else { unreachable!() };
+        let ft = ft.clone();
         let float = ft == FoTy::Float;
-        let bop = BinOp::from_lexeme(&op)
+        let bop = BinOp::from_lexeme(op)
             .ok_or_else(|| Diag::new(Phase::Instantiate, pos, format!("bad operator `{op}`")))?;
         let opname = match bop {
             BinOp::Add => "add",
@@ -471,11 +510,8 @@ impl<'a> Instantiator<'a> {
                 ft.clone()
             };
         // parameters: lifted prefix values, then the remaining operands
-        let mut params = Vec::new();
-        for i in 0..2 {
-            params.push((format!("x{i}"), ft.clone()));
-        }
-        let _ = lifted; // lifted operands are simply the leading params
+        // (lifted operands are simply the leading params)
+        let params = vec![("x0".to_string(), ft.clone()), ("x1".to_string(), ft)];
         let body = vec![FoStmt::Return(Some(FoExpr::Binary {
             op: bop,
             float,
@@ -496,38 +532,43 @@ impl<'a> Instantiator<'a> {
     /// functional argument (e.g. `min` as a folding function).
     fn synth_intrinsic(
         &mut self,
-        name: String,
-        sig: &FnSig,
+        name: &'static str,
+        sig: &FnSig<'a>,
         remaining_tys: &[Ty],
         pos: Pos,
     ) -> Result<String> {
         let rem: Vec<FoTy> =
-            remaining_tys.iter().map(|t| self.foty(t, pos)).collect::<Result<Vec<_>>>()?;
-        let key = (Target::Intrinsic(name.clone()), sig.prefix.len(), rem.clone());
+            remaining_tys.iter().map(|&t| self.foty(t, pos)).collect::<Result<Vec<_>>>()?;
+        let key = (Target::Intrinsic(name), sig.prefix.len(), rem);
         if let Some(n) = self.synth_memo.get(&key) {
             return Ok(n.clone());
         }
         let applied = self.sig_applied_ty(sig, pos)?;
-        let Ty::Fun(ptys, rty) = applied else {
+        let TyKind::Fun(ptys, rty) = self.ck.uni.resolve(applied) else {
             return self.err(pos, format!("`{name}` is not applicable"));
         };
         let wname = self.fresh_name(&format!("{name}_w"));
         self.synth_memo.insert(key, wname.clone());
         let mut params = Vec::new();
         let mut args = Vec::new();
-        let lifted = sig.flat_val_tys();
-        for (i, lt) in lifted.iter().enumerate() {
-            params.push((format!("l{i}"), lt.clone()));
+        for (i, lt) in sig.flat_val_tys().into_iter().enumerate() {
+            params.push((format!("l{i}"), lt));
             args.push(FoExpr::Var(format!("l{i}")));
         }
-        for (i, pt) in ptys.iter().enumerate() {
-            let t = self.foty(pt, pos)?;
+        for i in 0..ptys.len() {
+            let t = self.foty(self.kid(ptys, i), pos)?;
             params.push((format!("x{i}"), t));
             args.push(FoExpr::Var(format!("x{i}")));
         }
-        let ret = self.foty(&rty, pos)?;
-        let body = vec![FoStmt::Return(Some(FoExpr::Intrinsic(name.clone(), args)))];
-        self.out.funcs.push(FoFunc { name: wname.clone(), origin: name, params, ret, body });
+        let ret = self.foty(rty, pos)?;
+        let body = vec![FoStmt::Return(Some(FoExpr::Intrinsic(name.to_string(), args)))];
+        self.out.funcs.push(FoFunc {
+            name: wname.clone(),
+            origin: name.to_string(),
+            params,
+            ret,
+            body,
+        });
         Ok(wname)
     }
 
@@ -535,124 +576,117 @@ impl<'a> Instantiator<'a> {
     // functional-argument resolution
     // ------------------------------------------------------------------
 
+    /// Translate a lifted value argument of a partial application: its
+    /// FO expression, after unifying its type with `want`.
+    fn lift_arg(
+        &mut self,
+        a: &'a Expr<'a>,
+        want: Ty,
+        ctx: &mut Ctx<'a>,
+    ) -> Result<(PrefixItem<'a>, FoExpr)> {
+        let (fo, at) = self.tr_expr(a, ctx)?;
+        self.unify(want, at, a.pos())?;
+        Ok((PrefixItem::Val(self.foty(at, a.pos())?), fo))
+    }
+
     /// Resolve a functional argument expression to its static identity
-    /// plus lifted argument expressions. `expected` is the (resolved)
-    /// function type the context requires.
-    fn resolve_fn_val(&mut self, e: &Expr, expected: &Ty, ctx: &mut Ctx) -> Result<FnVal> {
-        // flatten curried application chains
-        let mut base = e;
-        let mut arg_groups: Vec<&Vec<Expr>> = Vec::new();
-        while let Expr::Call { callee, args, .. } = base {
-            arg_groups.push(args);
-            base = callee;
-        }
-        arg_groups.reverse();
-        let prefix_args: Vec<&Expr> = arg_groups.into_iter().flatten().collect();
+    /// plus lifted argument expressions. `expected` is the function type
+    /// the context requires.
+    fn resolve_fn_val(
+        &mut self,
+        e: &'a Expr<'a>,
+        expected: Ty,
+        ctx: &mut Ctx<'a>,
+    ) -> Result<FnVal<'a>> {
+        let (base, prefix_args) = flatten_call(e);
+        let n = prefix_args.len();
         let pos = e.pos();
 
         match base {
-            Expr::Var(name, _) if ctx.fn_bindings.contains_key(name) => {
-                let binding = ctx.fn_bindings[name].clone();
-                if prefix_args.is_empty() {
-                    let applied = self.sig_applied_ty(&binding.sig, pos)?;
-                    self.ck.uni.unify(&applied, expected, pos)?;
-                    return Ok(binding);
+            Expr::Var(name, _) if ctx.binding(name).is_some() => {
+                let FnVal { mut sig, mut lifted } = ctx.binding(name).expect("bound").clone();
+                let applied = self.sig_applied_ty(&sig, pos)?;
+                if n == 0 {
+                    self.unify(applied, expected, pos)?;
+                    return Ok(FnVal { sig, lifted });
                 }
                 // further partial application of a functional parameter:
                 // extend the prefix
-                let mut sig = binding.sig.clone();
-                let mut lifted = binding.lifted.clone();
-                let applied = self.sig_applied_ty(&sig, pos)?;
-                let Ty::Fun(ptys, rty) = applied else {
+                let TyKind::Fun(ptys, rty) = self.ck.uni.kind(applied) else {
                     return self.err(pos, "over-application of functional parameter");
                 };
-                if prefix_args.len() > ptys.len() {
+                if n > ptys.len() {
                     return self.err(pos, "over-application of functional parameter");
                 }
-                for (a, pty) in prefix_args.iter().zip(&ptys) {
-                    let at = self.ck.infer_expr(a, &ctx.scopes)?;
-                    self.ck.uni.unify(pty, &at, a.pos())?;
-                    let ft = self.foty(&at, a.pos())?;
-                    sig.prefix.push(PrefixItem::Val(ft));
-                    let fo = self.tr_expr(a, ctx)?;
+                for (i, &a) in prefix_args.iter().enumerate() {
+                    let (item, fo) = self.lift_arg(a, self.kid(ptys, i), ctx)?;
+                    sig.prefix.push(item);
                     lifted.push(fo);
                 }
-                let rest = Ty::Fun(ptys[prefix_args.len()..].to_vec(), rty);
-                self.ck.uni.unify(&rest, expected, pos)?;
+                let rest = self.ck.uni.fun_of(ptys.skip(n), rty);
+                self.unify(rest, expected, pos)?;
                 Ok(FnVal { sig, lifted })
             }
-            Expr::Var(name, _) if self.ck.user_funcs.contains_key(name) => {
-                let h = name.clone();
-                let ast = self.ck.user_funcs[&h].clone();
-                let scheme = self.ck.funcs[&h].clone();
-                let t = self.ck.uni.instantiate(&scheme);
-                let Ty::Fun(ptys, rty) = t else {
+            Expr::Var(name, _) if self.ck.funcs.contains_key(name) => {
+                let h: &'a str = name;
+                let ast = self.ck.funcs[h].func;
+                let t = self.ck.instantiate_fn(h).expect("user function has a scheme");
+                let TyKind::Fun(ptys, rty) = self.ck.uni.kind(t) else {
                     return self.err(pos, format!("`{h}` is not a function"));
                 };
-                if prefix_args.len() > ptys.len() {
+                if n > ptys.len() {
                     return self.err(pos, format!("too many arguments to `{h}`"));
                 }
                 // the remaining signature must match the expectation
-                let rest = Ty::Fun(ptys[prefix_args.len()..].to_vec(), rty);
-                self.ck.uni.unify(&rest, expected, pos)?;
-                let mut prefix = Vec::new();
+                let rest = self.ck.uni.fun_of(ptys.skip(n), rty);
+                self.unify(rest, expected, pos)?;
+                let mut prefix = Vec::with_capacity(n);
                 let mut lifted = Vec::new();
-                for (i, a) in prefix_args.iter().enumerate() {
+                for (i, &a) in prefix_args.iter().enumerate() {
                     if matches!(ast.params[i].ty, TypeExpr::Fun(_, _)) {
-                        let want = self.ck.uni.resolve(&ptys[i]);
-                        let inner = self.resolve_fn_val(a, &want, ctx)?;
-                        lifted.extend(inner.lifted.clone());
+                        let inner = self.resolve_fn_val(a, self.kid(ptys, i), ctx)?;
+                        lifted.extend(inner.lifted);
                         prefix.push(PrefixItem::Fn(inner.sig));
                     } else {
-                        let at = self.ck.infer_expr(a, &ctx.scopes)?;
-                        self.ck.uni.unify(&ptys[i], &at, a.pos())?;
-                        let ft = self.foty(&at, a.pos())?;
-                        prefix.push(PrefixItem::Val(ft));
-                        lifted.push(self.tr_expr(a, ctx)?);
+                        let (item, fo) = self.lift_arg(a, self.kid(ptys, i), ctx)?;
+                        prefix.push(item);
+                        lifted.push(fo);
                     }
                 }
                 Ok(FnVal { sig: FnSig { target: Target::User(h), prefix }, lifted })
             }
-            Expr::Var(name, _) if INTRINSICS.contains(&name.as_str()) => {
-                let scheme = self.ck.funcs[name].clone();
-                let t = self.ck.uni.instantiate(&scheme);
-                let Ty::Fun(ptys, rty) = t else {
+            Expr::Var(name, _) if intrinsic(name).is_some() => {
+                let name = intrinsic(name).expect("intrinsic");
+                let t = self.ck.instantiate_fn(name).expect("intrinsic has a scheme");
+                let TyKind::Fun(ptys, rty) = self.ck.uni.kind(t) else {
                     return self.err(pos, format!("`{name}` is not a function"));
                 };
-                let rest = Ty::Fun(ptys[prefix_args.len().min(ptys.len())..].to_vec(), rty);
-                self.ck.uni.unify(&rest, expected, pos)?;
+                let rest = self.ck.uni.fun_of(ptys.skip(n), rty);
+                self.unify(rest, expected, pos)?;
                 let mut prefix = Vec::new();
                 let mut lifted = Vec::new();
-                for (a, pty) in prefix_args.iter().zip(&ptys) {
-                    let at = self.ck.infer_expr(a, &ctx.scopes)?;
-                    self.ck.uni.unify(pty, &at, a.pos())?;
-                    prefix.push(PrefixItem::Val(self.foty(&at, a.pos())?));
-                    lifted.push(self.tr_expr(a, ctx)?);
+                for (i, &a) in prefix_args.iter().enumerate().take(ptys.len()) {
+                    let (item, fo) = self.lift_arg(a, self.kid(ptys, i), ctx)?;
+                    prefix.push(item);
+                    lifted.push(fo);
                 }
-                Ok(FnVal { sig: FnSig { target: Target::Intrinsic(name.clone()), prefix }, lifted })
+                Ok(FnVal { sig: FnSig { target: Target::Intrinsic(name), prefix }, lifted })
             }
             Expr::OpSection(op, _) => {
                 // operand type from the expectation
-                let a = self.ck.uni.fresh();
-                let full = match op.as_str() {
-                    "+" | "-" | "*" | "/" | "%" => {
-                        Ty::Fun(vec![a.clone(), a.clone()], Box::new(a.clone()))
-                    }
-                    _ => Ty::Fun(vec![a.clone(), a.clone()], Box::new(Ty::Int)),
-                };
-                let Ty::Fun(ptys, rty) = full else { unreachable!() };
-                let rest = Ty::Fun(ptys[prefix_args.len().min(2)..].to_vec(), rty);
-                self.ck.uni.unify(&rest, expected, pos)?;
+                let (full, a) = self.ck.op_section_ty(op);
+                let TyKind::Fun(ptys, rty) = self.ck.uni.kind(full) else { unreachable!() };
+                let rest = self.ck.uni.fun_of(ptys.skip(n.min(2)), rty);
+                self.unify(rest, expected, pos)?;
                 let mut prefix = Vec::new();
                 let mut lifted = Vec::new();
-                for arg in &prefix_args {
-                    let at = self.ck.infer_expr(arg, &ctx.scopes)?;
-                    self.ck.uni.unify(&a, &at, arg.pos())?;
-                    prefix.push(PrefixItem::Val(self.foty(&at, arg.pos())?));
-                    lifted.push(self.tr_expr(arg, ctx)?);
+                for &arg in &prefix_args {
+                    let (item, fo) = self.lift_arg(arg, a, ctx)?;
+                    prefix.push(item);
+                    lifted.push(fo);
                 }
-                let ft = self.foty(&a, pos)?;
-                Ok(FnVal { sig: FnSig { target: Target::Op(op.clone(), ft), prefix }, lifted })
+                let ft = self.foty(a, pos)?;
+                Ok(FnVal { sig: FnSig { target: Target::Op(op, ft), prefix }, lifted })
             }
             other => self.err(
                 other.pos(),
@@ -666,56 +700,56 @@ impl<'a> Instantiator<'a> {
     // body translation
     // ------------------------------------------------------------------
 
-    fn tr_block(&mut self, stmts: &[Stmt], ctx: &mut Ctx) -> Result<Vec<FoStmt>> {
+    fn tr_block(&mut self, stmts: &'a [Stmt<'a>], ctx: &mut Ctx<'a>) -> Result<Vec<FoStmt>> {
         ctx.scopes.push();
         let out = stmts.iter().map(|s| self.tr_stmt(s, ctx)).collect::<Result<Vec<_>>>();
         ctx.scopes.pop();
         out
     }
 
-    fn tr_stmt(&mut self, s: &Stmt, ctx: &mut Ctx) -> Result<FoStmt> {
+    /// Translate a condition: an `int`-typed expression.
+    fn tr_cond(&mut self, cond: &'a Expr<'a>, ctx: &mut Ctx<'a>) -> Result<FoExpr> {
+        let (fo, ct) = self.tr_expr(cond, ctx)?;
+        self.unify(ct, Ty::INT, cond.pos())?;
+        Ok(fo)
+    }
+
+    fn tr_stmt(&mut self, s: &'a Stmt<'a>, ctx: &mut Ctx<'a>) -> Result<FoStmt> {
         match s {
             Stmt::Decl { ty, name, init, pos } => {
-                let t = lower(&self.ck.defs, ty, &mut ctx.var_map, &mut self.ck.uni, false, *pos)?;
+                let ck = &mut *self.ck;
+                let t = ck.defs.lower(ty, &mut ctx.var_map, &mut ck.uni, false, *pos)?;
                 let fo_init = match init {
                     Some(e) => {
-                        let it = self.ck.infer_expr(e, &ctx.scopes)?;
-                        self.ck.uni.unify(&t, &it, *pos)?;
-                        Some(self.tr_expr(e, ctx)?)
+                        let (fo, it) = self.tr_expr(e, ctx)?;
+                        self.unify(t, it, *pos)?;
+                        Some(fo)
                     }
                     None => None,
                 };
-                ctx.scopes.declare(name, t.clone());
-                Ok(FoStmt::Decl { name: name.clone(), ty: self.foty(&t, *pos)?, init: fo_init })
+                ctx.scopes.declare(*name, t);
+                Ok(FoStmt::Decl { name: name.to_string(), ty: self.foty(t, *pos)?, init: fo_init })
             }
             Stmt::Assign { name, value, pos } => {
-                let vt = ctx.scopes.lookup(name).cloned().ok_or_else(|| {
+                let vt = ctx.scopes.lookup(name).ok_or_else(|| {
                     Diag::new(Phase::Instantiate, *pos, format!("undeclared `{name}`"))
                 })?;
-                let et = self.ck.infer_expr(value, &ctx.scopes)?;
-                self.ck.uni.unify(&vt, &et, *pos)?;
-                Ok(FoStmt::Assign { name: name.clone(), value: self.tr_expr(value, ctx)? })
+                let (fo, et) = self.tr_expr(value, ctx)?;
+                self.unify(vt, et, *pos)?;
+                Ok(FoStmt::Assign { name: name.to_string(), value: fo })
             }
-            Stmt::If { cond, then, els } => {
-                let ct = self.ck.infer_expr(cond, &ctx.scopes)?;
-                self.ck.uni.unify(&ct, &Ty::Int, cond.pos())?;
-                Ok(FoStmt::If {
-                    cond: self.tr_expr(cond, ctx)?,
-                    then: self.tr_block(&then.0, ctx)?,
-                    els: match els {
-                        Some(b) => self.tr_block(&b.0, ctx)?,
-                        None => vec![],
-                    },
-                })
-            }
-            Stmt::While { cond, body } => {
-                let ct = self.ck.infer_expr(cond, &ctx.scopes)?;
-                self.ck.uni.unify(&ct, &Ty::Int, cond.pos())?;
-                Ok(FoStmt::While {
-                    cond: self.tr_expr(cond, ctx)?,
-                    body: self.tr_block(&body.0, ctx)?,
-                })
-            }
+            Stmt::If { cond, then, els } => Ok(FoStmt::If {
+                cond: self.tr_cond(cond, ctx)?,
+                then: self.tr_block(&then.0, ctx)?,
+                els: match els {
+                    Some(b) => self.tr_block(&b.0, ctx)?,
+                    None => vec![],
+                },
+            }),
+            Stmt::While { cond, body } => Ok(FoStmt::While {
+                cond: self.tr_cond(cond, ctx)?,
+                body: self.tr_block(&body.0, ctx)?,
+            }),
             Stmt::For { init, cond, step, body } => {
                 ctx.scopes.push();
                 let fo_init = match init {
@@ -723,11 +757,7 @@ impl<'a> Instantiator<'a> {
                     None => None,
                 };
                 let fo_cond = match cond {
-                    Some(c) => {
-                        let ct = self.ck.infer_expr(c, &ctx.scopes)?;
-                        self.ck.uni.unify(&ct, &Ty::Int, c.pos())?;
-                        Some(self.tr_expr(c, ctx)?)
-                    }
+                    Some(c) => Some(self.tr_cond(c, ctx)?),
                     None => None,
                 };
                 let fo_step = match step {
@@ -740,31 +770,35 @@ impl<'a> Instantiator<'a> {
             }
             Stmt::Return { value, pos } => match value {
                 Some(e) => {
-                    let t = self.ck.infer_expr(e, &ctx.scopes)?;
-                    let ret = ctx.ret.clone();
-                    self.ck.uni.unify(&ret, &t, *pos)?;
-                    Ok(FoStmt::Return(Some(self.tr_expr(e, ctx)?)))
+                    let (fo, t) = self.tr_expr(e, ctx)?;
+                    self.unify(ctx.ret, t, *pos)?;
+                    Ok(FoStmt::Return(Some(fo)))
                 }
                 None => Ok(FoStmt::Return(None)),
             },
-            Stmt::Expr(e) => Ok(FoStmt::Expr(self.tr_expr(e, ctx)?)),
+            Stmt::Expr(e) => Ok(FoStmt::Expr(self.tr_expr(e, ctx)?.0)),
         }
     }
 
-    fn tr_expr(&mut self, e: &Expr, ctx: &mut Ctx) -> Result<FoExpr> {
+    /// Translate an expression to first-order form, returning its type
+    /// too: each expression is inferred exactly once per instance, by
+    /// the same rules as [`Checked::infer_expr`]. A decision that
+    /// depends on an operand's type (float arithmetic, struct instance,
+    /// field index) is taken as soon as that operand is translated.
+    fn tr_expr(&mut self, e: &'a Expr<'a>, ctx: &mut Ctx<'a>) -> Result<(FoExpr, Ty)> {
         match e {
-            Expr::Int(v, _) => Ok(FoExpr::Int(*v)),
-            Expr::Float(v, _) => Ok(FoExpr::Float(*v)),
+            Expr::Int(v, _) => Ok((FoExpr::Int(*v), Ty::INT)),
+            Expr::Float(v, _) => Ok((FoExpr::Float(*v), Ty::FLOAT)),
             Expr::Var(name, pos) => {
-                if ctx.fn_bindings.contains_key(name) {
+                if ctx.binding(name).is_some() {
                     return self
                         .err(*pos, format!("functional parameter `{name}` used as a value"));
                 }
-                if ctx.scopes.lookup(name).is_some() {
-                    return Ok(FoExpr::Var(name.clone()));
+                if let Some(t) = ctx.scopes.lookup(name) {
+                    return Ok((FoExpr::Var(name.to_string()), t));
                 }
-                if self.ck.consts.contains_key(name) {
-                    return Ok(FoExpr::Intrinsic(name.clone(), vec![]));
+                if let Some(t) = builtin_const(name) {
+                    return Ok((FoExpr::Intrinsic(name.to_string(), vec![]), t));
                 }
                 self.err(*pos, format!("`{name}` is not a value in this context"))
             }
@@ -773,91 +807,88 @@ impl<'a> Instantiator<'a> {
                 self.err(*pos, "an operator section is only meaningful as a functional argument")
             }
             Expr::Binary { op, lhs, rhs, pos } => {
-                let lt = self.ck.infer_expr(lhs, &ctx.scopes)?;
-                let float = matches!(self.ck.uni.resolve(&lt), Ty::Float);
+                let (lfo, lt) = self.tr_expr(lhs, ctx)?;
+                let float = self.is_float(lt);
                 let bop = BinOp::from_lexeme(op)
                     .ok_or_else(|| Diag::new(Phase::Instantiate, *pos, "bad operator"))?;
-                Ok(FoExpr::Binary {
-                    op: bop,
-                    float,
-                    lhs: Box::new(self.tr_expr(lhs, ctx)?),
-                    rhs: Box::new(self.tr_expr(rhs, ctx)?),
-                })
+                let (rfo, rt) = self.tr_expr(rhs, ctx)?;
+                let ty = self.ck.binary_ty(op, lt, rt, *pos)?;
+                Ok((FoExpr::Binary { op: bop, float, lhs: Box::new(lfo), rhs: Box::new(rfo) }, ty))
             }
-            Expr::Unary { op, expr, .. } => {
-                let t = self.ck.infer_expr(expr, &ctx.scopes)?;
-                let float = matches!(self.ck.uni.resolve(&t), Ty::Float);
-                Ok(FoExpr::Unary {
-                    neg: op == "-",
-                    float,
-                    expr: Box::new(self.tr_expr(expr, ctx)?),
-                })
+            Expr::Unary { op, expr, pos } => {
+                let (fo, t) = self.tr_expr(expr, ctx)?;
+                let float = self.is_float(t);
+                let ty = self.ck.unary_ty(op, t, *pos)?;
+                Ok((FoExpr::Unary { neg: *op == "-", float, expr: Box::new(fo) }, ty))
             }
             Expr::Field { expr, field, pos } => {
-                let t = self.ck.infer_expr(expr, &ctx.scopes)?;
-                match self.ck.uni.resolve(&t) {
-                    Ty::Bounds => {
-                        let idx = match field.as_str() {
-                            "lowerBd" => 0,
-                            "upperBd" => 1,
-                            _ => return self.err(*pos, format!("bad Bounds field `{field}`")),
-                        };
-                        Ok(FoExpr::Field {
-                            expr: Box::new(self.tr_expr(expr, ctx)?),
-                            index: idx,
-                            name: field.clone(),
-                        })
+                let (fo, t) = self.tr_expr(expr, ctx)?;
+                let index = match self.ck.uni.resolve(t) {
+                    TyKind::Bounds => match *field {
+                        "lowerBd" => 0,
+                        "upperBd" => 1,
+                        _ => return self.err(*pos, format!("bad Bounds field `{field}`")),
+                    },
+                    TyKind::Struct(s, args) => {
+                        let inst = self.struct_instance(s, args, *pos)?;
+                        self.struct_field_index(&inst, field, *pos)?
                     }
-                    Ty::Struct(name, args) => {
-                        let inst = self.struct_instance(&name, &args, *pos)?;
-                        let idx = self.struct_field_index(&inst, field, *pos)?;
-                        Ok(FoExpr::Field {
-                            expr: Box::new(self.tr_expr(expr, ctx)?),
-                            index: idx,
-                            name: field.clone(),
-                        })
+                    _ => {
+                        let shown = self.ck.uni.show(t).to_string();
+                        return self.err(*pos, format!("field access on `{shown}`"));
                     }
-                    other => self.err(*pos, format!("field access on `{other}`")),
-                }
+                };
+                let ty = self.ck.field_ty(t, field, *pos)?;
+                Ok((FoExpr::Field { expr: Box::new(fo), index, name: field.to_string() }, ty))
             }
-            Expr::IndexAt { expr, index, .. } => Ok(FoExpr::IndexAt {
-                expr: Box::new(self.tr_expr(expr, ctx)?),
-                index: Box::new(self.tr_expr(index, ctx)?),
-            }),
-            Expr::BraceList { elems, .. } => {
-                let es = elems.iter().map(|e| self.tr_expr(e, ctx)).collect::<Result<Vec<_>>>()?;
-                Ok(FoExpr::MakeIndex(es))
+            Expr::IndexAt { expr, index, pos } => {
+                let (efo, t) = self.tr_expr(expr, ctx)?;
+                self.unify(t, Ty::INDEX, *pos)?;
+                let (ifo, it) = self.tr_expr(index, ctx)?;
+                self.unify(it, Ty::INT, *pos)?;
+                Ok((FoExpr::IndexAt { expr: Box::new(efo), index: Box::new(ifo) }, Ty::INT))
+            }
+            Expr::BraceList { elems, pos } => {
+                check_index_arity(elems.len(), *pos)?;
+                let mut es = Vec::with_capacity(elems.len());
+                for e in elems {
+                    let (fo, t) = self.tr_expr(e, ctx)?;
+                    self.unify(t, Ty::INT, e.pos())?;
+                    es.push(fo);
+                }
+                Ok((FoExpr::MakeIndex(es), Ty::INDEX))
             }
             Expr::StructLit { name, fields, pos } => {
-                let t = self.ck.infer_expr(e, &ctx.scopes)?;
-                let Ty::Struct(_, args) = self.ck.uni.resolve(&t) else {
+                let (s, def, mut var_map) = self.ck.struct_lit_start(name, fields.len(), *pos)?;
+                let mut es = Vec::with_capacity(fields.len());
+                for (e, (_, fty)) in fields.iter().zip(def.1) {
+                    let ck = &mut *self.ck;
+                    let want = ck.defs.lower(fty, &mut var_map, &mut ck.uni, false, *pos)?;
+                    let (fo, got) = self.tr_expr(e, ctx)?;
+                    self.unify(want, got, e.pos())?;
+                    es.push(fo);
+                }
+                let ty = self.ck.struct_lit_ty(s, def, &var_map);
+                let TyKind::Struct(s, args) = self.ck.uni.resolve(ty) else {
                     return self.err(*pos, "struct literal did not resolve");
                 };
-                let inst = self.struct_instance(name, &args, *pos)?;
-                let es = fields.iter().map(|f| self.tr_expr(f, ctx)).collect::<Result<Vec<_>>>()?;
-                Ok(FoExpr::MakeStruct(inst, es))
+                let inst = self.struct_instance(s, args, *pos)?;
+                Ok((FoExpr::MakeStruct(inst, es), ty))
             }
         }
     }
 
-    fn tr_call(&mut self, e: &Expr, pos: Pos, ctx: &mut Ctx) -> Result<FoExpr> {
-        // flatten currying
-        let mut base = e;
-        let mut arg_groups: Vec<&Vec<Expr>> = Vec::new();
-        while let Expr::Call { callee, args, .. } = base {
-            arg_groups.push(args);
-            base = callee;
-        }
-        arg_groups.reverse();
-        let args: Vec<&Expr> = arg_groups.into_iter().flatten().collect();
+    fn tr_call(&mut self, e: &'a Expr<'a>, pos: Pos, ctx: &mut Ctx<'a>) -> Result<(FoExpr, Ty)> {
+        let (base, args) = flatten_call(e);
 
         match base {
-            Expr::Var(name, _) if ctx.fn_bindings.contains_key(name) => {
+            Expr::Var(name, _) if ctx.binding(name).is_some() => {
                 // call through a functional parameter: direct call of the
                 // bound instance with lifted arguments prepended
-                let binding = ctx.fn_bindings[name].clone();
+                let binding = ctx.binding(name).expect("bound");
+                let mut fo_args = binding.lifted.clone();
                 let applied = self.sig_applied_ty(&binding.sig, pos)?;
-                let Ty::Fun(ptys, _) = applied else {
+                let TyKind::Fun(ptys, ret) = self.ck.uni.resolve(applied) else {
                     return self.err(pos, "functional parameter is not applicable");
                 };
                 if args.len() != ptys.len() {
@@ -871,23 +902,23 @@ impl<'a> Instantiator<'a> {
                         ),
                     );
                 }
-                let mut remaining_tys = Vec::new();
-                let mut fo_args = binding.lifted.clone();
-                for (a, pty) in args.iter().zip(&ptys) {
-                    let at = self.ck.infer_expr(a, &ctx.scopes)?;
-                    self.ck.uni.unify(pty, &at, a.pos())?;
-                    remaining_tys.push(self.ck.uni.resolve(&at));
-                    fo_args.push(self.tr_expr(a, ctx)?);
+                let mut remaining_tys = Vec::with_capacity(args.len());
+                for (i, &a) in args.iter().enumerate() {
+                    let (fo, at) = self.tr_expr(a, ctx)?;
+                    self.unify(self.kid(ptys, i), at, a.pos())?;
+                    remaining_tys.push(at);
+                    fo_args.push(fo);
                 }
-                let inst = self.instance_for_sig(&binding.sig, &remaining_tys, pos)?;
-                Ok(FoExpr::Call(inst, fo_args))
+                let sig = &ctx.binding(name).expect("bound").sig;
+                let inst = self.instance_for_sig(sig, &remaining_tys, pos)?;
+                Ok((FoExpr::Call(inst, fo_args), ret))
             }
-            Expr::Var(name, _) if SKELETONS.contains(&name.as_str()) => {
+            Expr::Var(name, _) if SKELETONS.contains(name) => {
                 self.tr_skeleton(name, &args, pos, ctx)
             }
-            Expr::Var(name, _) if self.ck.user_funcs.contains_key(name) => {
-                let h = name.clone();
-                let ast = self.ck.user_funcs[&h].clone();
+            Expr::Var(name, _) if self.ck.funcs.contains_key(name) => {
+                let h: &'a str = name;
+                let ast = self.ck.funcs[h].func;
                 if args.len() != ast.params.len() {
                     return self.err(
                         pos,
@@ -897,61 +928,57 @@ impl<'a> Instantiator<'a> {
                         ),
                     );
                 }
-                let scheme = self.ck.funcs[&h].clone();
-                let t = self.ck.uni.instantiate(&scheme);
-                let Ty::Fun(ptys, _) = t else {
+                let t = self.ck.instantiate_fn(h).expect("user function has a scheme");
+                let TyKind::Fun(ptys, ret) = self.ck.uni.kind(t) else {
                     return self.err(pos, format!("`{h}` is not a function"));
                 };
+                // value args and lifted args interleave in parameter order
                 let mut value_tys = Vec::new();
                 let mut fn_sigs = Vec::new();
-                let mut fo_args = Vec::new();
-                for ((a, p), pty) in args.iter().zip(&ast.params).zip(&ptys) {
+                let mut fo_args = Vec::with_capacity(args.len());
+                for (i, (&a, p)) in args.iter().zip(&ast.params).enumerate() {
+                    let pty = self.kid(ptys, i);
                     if matches!(p.ty, TypeExpr::Fun(_, _)) {
-                        let want = self.ck.uni.resolve(pty);
-                        let fv = self.resolve_fn_val(a, &want, ctx)?;
-                        fo_args.extend(fv.lifted.clone());
+                        let fv = self.resolve_fn_val(a, pty, ctx)?;
+                        fo_args.extend(fv.lifted);
                         fn_sigs.push(fv.sig);
                     } else {
-                        let at = self.ck.infer_expr(a, &ctx.scopes)?;
-                        self.ck.uni.unify(pty, &at, a.pos())?;
-                        value_tys.push(self.foty(&at, a.pos())?);
-                        fo_args.push(self.tr_expr(a, ctx)?);
+                        let (fo, at) = self.tr_expr(a, ctx)?;
+                        self.unify(pty, at, a.pos())?;
+                        value_tys.push(self.foty(at, a.pos())?);
+                        fo_args.push(fo);
                     }
                 }
-                // re-order: value args and lifted args interleave in
-                // parameter order — rebuild in one pass
-                let mut fo_args2 = Vec::new();
-                let mut vi = 0usize;
-                let mut li = 0usize;
-                let mut lifted_per_fn: Vec<usize> =
-                    fn_sigs.iter().map(|s| s.flat_val_tys().len()).collect();
-                lifted_per_fn.reverse();
-                // simpler: walk params again, consuming from fo_args in
-                // the same order we pushed them
-                let mut cursor = 0usize;
-                for p in &ast.params {
-                    if matches!(p.ty, TypeExpr::Fun(_, _)) {
-                        let n = fn_sigs[li].flat_val_tys().len();
-                        li += 1;
-                        for _ in 0..n {
-                            fo_args2.push(fo_args[cursor].clone());
-                            cursor += 1;
-                        }
-                    } else {
-                        fo_args2.push(fo_args[cursor].clone());
-                        cursor += 1;
-                        vi += 1;
-                    }
-                }
-                let _ = vi;
-                let inst = self.request_instance(&h, value_tys, fn_sigs, pos)?;
-                Ok(FoExpr::Call(inst, fo_args2))
+                let inst = self.request_instance(h, value_tys, fn_sigs, pos)?;
+                Ok((FoExpr::Call(inst, fo_args), ret))
             }
-            Expr::Var(name, _) if INTRINSICS.contains(&name.as_str()) => {
-                // scalar intrinsic call; validate via inference
-                let _ = self.ck.infer_expr(e, &ctx.scopes)?;
-                let fo = args.iter().map(|a| self.tr_expr(a, ctx)).collect::<Result<Vec<_>>>()?;
-                Ok(FoExpr::Intrinsic(name.clone(), fo))
+            Expr::Var(name, _) if intrinsic(name).is_some() => {
+                // scalar intrinsic call, typed like any application
+                let t = self.ck.instantiate_fn(name).expect("intrinsic has a scheme");
+                let TyKind::Fun(params, ret) = self.ck.uni.kind(t) else { unreachable!() };
+                if args.len() > params.len() {
+                    return Err(Diag::new(
+                        Phase::Type,
+                        pos,
+                        format!(
+                            "too many arguments: function takes {}, got {}",
+                            params.len(),
+                            args.len()
+                        ),
+                    ));
+                }
+                let mut fo = Vec::with_capacity(args.len());
+                for (i, &a) in args.iter().enumerate() {
+                    let (afo, at) = self.tr_expr(a, ctx)?;
+                    self.unify(self.kid(params, i), at, a.pos())?;
+                    fo.push(afo);
+                }
+                let ty = if args.len() == params.len() {
+                    ret
+                } else {
+                    self.ck.uni.fun_of(params.skip(args.len()), ret)
+                };
+                Ok((FoExpr::Intrinsic(name.to_string(), fo), ty))
             }
             Expr::OpSection(op, _) => {
                 if args.len() != 2 {
@@ -961,18 +988,17 @@ impl<'a> Instantiator<'a> {
                          functional argument",
                     );
                 }
-                let lt = self.ck.infer_expr(args[0], &ctx.scopes)?;
-                let rt = self.ck.infer_expr(args[1], &ctx.scopes)?;
-                self.ck.uni.unify(&lt, &rt, pos)?;
-                let float = matches!(self.ck.uni.resolve(&lt), Ty::Float);
+                let (lfo, lt) = self.tr_expr(args[0], ctx)?;
+                let (rfo, rt) = self.tr_expr(args[1], ctx)?;
+                self.unify(lt, rt, pos)?;
+                let float = self.is_float(lt);
                 let bop = BinOp::from_lexeme(op)
                     .ok_or_else(|| Diag::new(Phase::Instantiate, pos, "bad operator"))?;
-                Ok(FoExpr::Binary {
-                    op: bop,
-                    float,
-                    lhs: Box::new(self.tr_expr(args[0], ctx)?),
-                    rhs: Box::new(self.tr_expr(args[1], ctx)?),
-                })
+                let ty = match *op {
+                    "+" | "-" | "*" | "/" | "%" => lt,
+                    _ => Ty::INT,
+                };
+                Ok((FoExpr::Binary { op: bop, float, lhs: Box::new(lfo), rhs: Box::new(rfo) }, ty))
             }
             other => self.err(other.pos(), "uncallable expression"),
         }
@@ -981,10 +1007,10 @@ impl<'a> Instantiator<'a> {
     fn tr_skeleton(
         &mut self,
         name: &str,
-        args: &[&Expr],
+        args: &[&'a Expr<'a>],
         pos: Pos,
-        ctx: &mut Ctx,
-    ) -> Result<FoExpr> {
+        ctx: &mut Ctx<'a>,
+    ) -> Result<(FoExpr, Ty)> {
         let (op, fn_positions): (SkelOp, &[usize]) = match name {
             "array_create" => (SkelOp::Create, &[4]),
             "array_destroy" => (SkelOp::Destroy, &[]),
@@ -999,32 +1025,32 @@ impl<'a> Instantiator<'a> {
             "farm" => (SkelOp::Farm, &[0]),
             _ => return self.err(pos, format!("unknown skeleton `{name}`")),
         };
-        let scheme = self.ck.funcs[name].clone();
-        let t = self.ck.uni.instantiate(&scheme);
-        let Ty::Fun(ptys, _) = t else { unreachable!("skeleton schemes are functions") };
+        let t = self.ck.instantiate_fn(name).expect("skeleton has a scheme");
+        let TyKind::Fun(ptys, ret) = self.ck.uni.kind(t) else {
+            unreachable!("skeleton schemes are functions")
+        };
         if args.len() != ptys.len() {
             return self
                 .err(pos, format!("{name} takes {} arguments, got {}", ptys.len(), args.len()));
         }
         // value args first (so array element types are known), then
         // functional args
-        let mut fo_args = vec![None::<FoExpr>; args.len()];
-        for (i, (a, pty)) in args.iter().zip(&ptys).enumerate() {
+        let mut fo_args = Vec::with_capacity(args.len());
+        for (i, &a) in args.iter().enumerate() {
             if fn_positions.contains(&i) {
                 continue;
             }
-            let at = self.ck.infer_expr(a, &ctx.scopes)?;
-            self.ck.uni.unify(pty, &at, a.pos())?;
-            fo_args[i] = Some(self.tr_expr(a, ctx)?);
+            let (fo, at) = self.tr_expr(a, ctx)?;
+            self.unify(self.kid(ptys, i), at, a.pos())?;
+            fo_args.push(fo);
         }
-        let mut fns = Vec::new();
+        let mut fns = Vec::with_capacity(fn_positions.len());
         for &i in fn_positions {
-            let want = self.ck.uni.resolve(&ptys[i]);
-            let fv = self.resolve_fn_val(args[i], &want, ctx)?;
-            let Ty::Fun(rem_ptys, _) = self.ck.uni.resolve(&ptys[i]) else {
+            let fv = self.resolve_fn_val(args[i], self.kid(ptys, i), ctx)?;
+            let TyKind::Fun(rem_ptys, _) = self.ck.uni.resolve(self.kid(ptys, i)) else {
                 return self.err(pos, "skeleton functional parameter is not a function");
             };
-            let rem: Vec<Ty> = rem_ptys.iter().map(|t| self.ck.uni.resolve(t)).collect();
+            let rem = self.ck.uni.kids(rem_ptys).to_vec();
             let inst = self.instance_for_sig(&fv.sig, &rem, pos)?;
             fns.push(FnInst { func: inst, lifted: fv.lifted });
         }
@@ -1032,35 +1058,19 @@ impl<'a> Instantiator<'a> {
         // for array_create, which has none — from the initializer's
         // return type
         let mut elem = FoTy::Void;
-        for pty in &ptys {
-            if let Ty::Pardata(n, targs) = self.ck.uni.resolve(pty) {
-                if n == "array" {
-                    elem = self.foty(&targs[0], pos)?;
-                    break;
-                }
+        for i in 0..ptys.len() {
+            if let Some(el) = array_elem(&self.ck.uni, self.kid(ptys, i)) {
+                elem = self.foty(el, pos)?;
+                break;
             }
         }
         if op == SkelOp::Create {
-            if let Ty::Fun(_, rty) = self.ck.uni.resolve(&ptys[4]) {
-                elem = self.foty(&rty, pos)?;
+            if let TyKind::Fun(_, rty) = self.ck.uni.resolve(self.kid(ptys, 4)) {
+                elem = self.foty(rty, pos)?;
             }
         }
-        let args_flat: Vec<FoExpr> = fo_args.into_iter().flatten().collect();
-        Ok(FoExpr::Skel { op, fns, args: args_flat, elem })
+        Ok((FoExpr::Skel { op, fns, args: fo_args, elem }, ret))
     }
-}
-
-/// Wrapper around `TypeDefs::lower` (free function to satisfy borrow
-/// splitting).
-fn lower(
-    defs: &TypeDefs,
-    te: &TypeExpr,
-    var_map: &mut HashMap<String, Ty>,
-    uni: &mut Unifier,
-    open: bool,
-    pos: Pos,
-) -> Result<Ty> {
-    defs.lower(te, var_map, uni, open, pos)
 }
 
 #[cfg(test)]

@@ -4,35 +4,60 @@ use crate::ast::*;
 use crate::diag::{Diag, Phase, Pos, Result};
 use crate::token::{lex, Spanned, Tok};
 
+/// The deepest nesting the parser accepts. Every parenthesis, brace,
+/// bracket, call argument list, unary operator, postfix operator,
+/// binary operator of a chain, type argument list and nested statement
+/// body opens one level. Deeper programs are rejected with a `parse`
+/// diagnostic instead of recursing without bound: the limit bounds the
+/// recursion of every later phase (check, instantiate, bytecode,
+/// optimizer, emitters and engines) to well within a 2 MiB thread stack.
+pub const MAX_NESTING: usize = 256;
+
 /// Parse a complete Skil program.
-pub fn parse(src: &str) -> Result<Program> {
+pub fn parse(src: &str) -> Result<Program<'_>> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, at: 0 };
+    let mut p = Parser { toks, at: 0, depth: 0 };
     p.program()
 }
 
-struct Parser {
-    toks: Vec<Spanned>,
+struct Parser<'a> {
+    toks: Vec<Spanned<'a>>,
     at: usize,
+    depth: usize,
 }
 
 const KEYWORDS: [&str; 8] = ["pardata", "struct", "if", "else", "while", "for", "return", "int"];
 
-impl Parser {
-    fn peek(&self) -> &Tok {
-        &self.toks[self.at].tok
+/// Binding power of a binary operator (higher binds tighter).
+fn precedence(tok: Tok<'_>) -> Option<(&'static str, u8)> {
+    let Tok::Punct(op) = tok else { return None };
+    let prec = match op {
+        "||" => 1,
+        "&&" => 2,
+        "==" | "!=" => 3,
+        "<" | "<=" | ">" | ">=" => 4,
+        "+" | "-" => 5,
+        "*" | "/" | "%" => 6,
+        _ => return None,
+    };
+    Some((op, prec))
+}
+
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Tok<'a> {
+        self.toks[self.at].tok
     }
 
-    fn peek2(&self) -> &Tok {
-        &self.toks[(self.at + 1).min(self.toks.len() - 1)].tok
+    fn peek2(&self) -> Tok<'a> {
+        self.toks[(self.at + 1).min(self.toks.len() - 1)].tok
     }
 
     fn pos(&self) -> Pos {
         self.toks[self.at].pos
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.toks[self.at].tok.clone();
+    fn bump(&mut self) -> Tok<'a> {
+        let t = self.toks[self.at].tok;
         if self.at + 1 < self.toks.len() {
             self.at += 1;
         }
@@ -43,9 +68,23 @@ impl Parser {
         Err(Diag::new(Phase::Parse, self.pos(), msg.into()))
     }
 
+    /// Open one nesting level (see [`MAX_NESTING`]).
+    fn enter(&mut self) -> Result<()> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            return self.err(format!("nesting too deep: more than {MAX_NESTING} levels"));
+        }
+        Ok(())
+    }
+
+    /// Close `n` nesting levels.
+    fn leave(&mut self, n: usize) {
+        self.depth -= n;
+    }
+
     fn eat_punct(&mut self, p: &str) -> Result<()> {
         match self.peek() {
-            Tok::Punct(q) if *q == p => {
+            Tok::Punct(q) if q == p => {
                 self.bump();
                 Ok(())
             }
@@ -57,11 +96,11 @@ impl Parser {
     }
 
     fn at_punct(&self, p: &str) -> bool {
-        matches!(self.peek(), Tok::Punct(q) if *q == p)
+        matches!(self.peek(), Tok::Punct(q) if q == p)
     }
 
-    fn eat_ident(&mut self) -> Result<String> {
-        match self.peek().clone() {
+    fn eat_ident(&mut self) -> Result<&'a str> {
+        match self.peek() {
             Tok::Ident(s) => {
                 self.bump();
                 Ok(s)
@@ -77,9 +116,30 @@ impl Parser {
         matches!(self.peek(), Tok::Ident(s) if s == kw)
     }
 
+    /// `item (, item)*` up to (not including) `close`; an empty list when
+    /// `close` comes first.
+    fn list<T>(
+        &mut self,
+        close: &str,
+        mut item: impl FnMut(&mut Self) -> Result<T>,
+    ) -> Result<Vec<T>> {
+        let mut out = Vec::new();
+        if !self.at_punct(close) {
+            loop {
+                out.push(item(self)?);
+                if self.at_punct(",") {
+                    self.bump();
+                } else {
+                    break;
+                }
+            }
+        }
+        Ok(out)
+    }
+
     // ---------------- items ----------------
 
-    fn program(&mut self) -> Result<Program> {
+    fn program(&mut self) -> Result<Program<'a>> {
         let mut items = Vec::new();
         while !matches!(self.peek(), Tok::Eof) {
             items.push(self.item()?);
@@ -87,67 +147,49 @@ impl Parser {
         Ok(Program { items })
     }
 
-    fn item(&mut self) -> Result<Item> {
+    /// `< $a, $b, ... >` after a pardata or struct name.
+    fn type_params(&mut self, what: &str, pos: Pos) -> Result<Vec<&'a str>> {
+        let mut params = Vec::new();
+        if self.at_punct("<") {
+            self.bump();
+            loop {
+                match self.bump() {
+                    Tok::TypeVar(v) => params.push(v),
+                    other => {
+                        return Err(Diag::new(
+                            Phase::Parse,
+                            pos,
+                            format!(
+                                "{what} type parameters must be type variables, found {}",
+                                other.describe()
+                            ),
+                        ))
+                    }
+                }
+                if self.at_punct(",") {
+                    self.bump();
+                } else {
+                    break;
+                }
+            }
+            self.eat_punct(">")?;
+        }
+        Ok(params)
+    }
+
+    fn item(&mut self) -> Result<Item<'a>> {
         let pos = self.pos();
         if self.at_kw("pardata") {
             self.bump();
             let name = self.eat_ident()?;
-            let mut arity = 0;
-            if self.at_punct("<") {
-                self.bump();
-                loop {
-                    match self.bump() {
-                        Tok::TypeVar(_) => arity += 1,
-                        other => {
-                            return Err(Diag::new(
-                                Phase::Parse,
-                                pos,
-                                format!(
-                                    "pardata type parameters must be type variables, found {}",
-                                    other.describe()
-                                ),
-                            ))
-                        }
-                    }
-                    if self.at_punct(",") {
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-                self.eat_punct(">")?;
-            }
+            let arity = self.type_params("pardata", pos)?.len();
             self.eat_punct(";")?;
             return Ok(Item::Pardata { name, arity, pos });
         }
         if self.at_kw("struct") {
             self.bump();
             let name = self.eat_ident()?;
-            let mut params = Vec::new();
-            if self.at_punct("<") {
-                self.bump();
-                loop {
-                    match self.bump() {
-                        Tok::TypeVar(v) => params.push(v),
-                        other => {
-                            return Err(Diag::new(
-                                Phase::Parse,
-                                pos,
-                                format!(
-                                    "struct type parameters must be type variables, found {}",
-                                    other.describe()
-                                ),
-                            ))
-                        }
-                    }
-                    if self.at_punct(",") {
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-                self.eat_punct(">")?;
-            }
+            let params = self.type_params("struct", pos)?;
             self.eat_punct("{")?;
             let mut fields = Vec::new();
             while !self.at_punct("}") {
@@ -164,40 +206,20 @@ impl Parser {
         let ret = self.type_expr()?;
         let name = self.eat_ident()?;
         self.eat_punct("(")?;
-        let mut params = Vec::new();
-        if !self.at_punct(")") {
-            loop {
-                params.push(self.param()?);
-                if self.at_punct(",") {
-                    self.bump();
-                } else {
-                    break;
-                }
-            }
-        }
+        let params = self.list(")", Self::param)?;
         self.eat_punct(")")?;
         let body = self.block()?;
         Ok(Item::Func(Func { name, params, ret, body, pos }))
     }
 
     /// `type name` or the functional form `type name(argtypes...)`.
-    fn param(&mut self) -> Result<Param> {
+    fn param(&mut self) -> Result<Param<'a>> {
         let pos = self.pos();
         let ty = self.type_expr()?;
         let name = self.eat_ident()?;
         if self.at_punct("(") {
             self.bump();
-            let mut args = Vec::new();
-            if !self.at_punct(")") {
-                loop {
-                    args.push(self.type_expr()?);
-                    if self.at_punct(",") {
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-            }
+            let args = self.list(")", Self::type_expr)?;
             self.eat_punct(")")?;
             return Ok(Param { name, ty: TypeExpr::Fun(args, Box::new(ty)), pos });
         }
@@ -206,19 +228,20 @@ impl Parser {
 
     // ---------------- types ----------------
 
-    fn type_expr(&mut self) -> Result<TypeExpr> {
-        match self.peek().clone() {
+    fn type_expr(&mut self) -> Result<TypeExpr<'a>> {
+        match self.peek() {
             Tok::TypeVar(v) => {
                 self.bump();
                 Ok(TypeExpr::Var(v))
             }
             Tok::Ident(name) => {
-                if KEYWORDS.contains(&name.as_str()) && name != "int" {
+                if KEYWORDS.contains(&name) && name != "int" {
                     return self.err(format!("`{name}` is not a type"));
                 }
                 self.bump();
                 let mut args = Vec::new();
                 if self.at_punct("<") {
+                    self.enter()?;
                     self.bump();
                     loop {
                         args.push(self.type_expr()?);
@@ -229,6 +252,7 @@ impl Parser {
                         }
                     }
                     self.eat_punct(">")?;
+                    self.leave(1);
                 }
                 Ok(TypeExpr::Named(name, args))
             }
@@ -239,27 +263,70 @@ impl Parser {
         }
     }
 
+    /// Skip a type expression without building it; whether
+    /// [`Parser::type_expr`] would have parsed one here. Iterative, so
+    /// speculation never recurses.
+    fn skip_type(&mut self) -> bool {
+        let mut open = 0usize;
+        loop {
+            match self.peek() {
+                Tok::TypeVar(_) => {
+                    self.bump();
+                }
+                Tok::Ident(name) if !KEYWORDS.contains(&name) || name == "int" => {
+                    self.bump();
+                    if self.at_punct("<") {
+                        self.bump();
+                        open += 1;
+                        continue;
+                    }
+                }
+                _ => return false,
+            }
+            // after a complete type: close argument lists
+            loop {
+                if open == 0 {
+                    return true;
+                }
+                if self.at_punct(",") {
+                    self.bump();
+                    break;
+                }
+                if !self.at_punct(">") {
+                    return false;
+                }
+                self.bump();
+                open -= 1;
+            }
+        }
+    }
+
     // ---------------- statements ----------------
 
-    fn block(&mut self) -> Result<Block> {
+    fn block(&mut self) -> Result<Block<'a>> {
+        self.enter()?;
         self.eat_punct("{")?;
         let mut stmts = Vec::new();
         while !self.at_punct("}") {
             stmts.push(self.stmt()?);
         }
         self.eat_punct("}")?;
+        self.leave(1);
         Ok(Block(stmts))
     }
 
-    fn block_or_single(&mut self) -> Result<Block> {
+    fn block_or_single(&mut self) -> Result<Block<'a>> {
         if self.at_punct("{") {
             self.block()
         } else {
-            Ok(Block(vec![self.stmt()?]))
+            self.enter()?;
+            let s = self.stmt()?;
+            self.leave(1);
+            Ok(Block(vec![s]))
         }
     }
 
-    fn stmt(&mut self) -> Result<Stmt> {
+    fn stmt(&mut self) -> Result<Stmt<'a>> {
         let pos = self.pos();
         if self.at_kw("if") {
             self.bump();
@@ -310,43 +377,29 @@ impl Parser {
 
     /// Declaration, assignment, or expression — without the trailing
     /// semicolon (shared with `for` headers).
-    fn simple_stmt_no_semi(&mut self) -> Result<Stmt> {
+    fn simple_stmt_no_semi(&mut self) -> Result<Stmt<'a>> {
         let pos = self.pos();
-        // Try a declaration: `type ident [= expr]`. Backtrack on failure.
+        // A declaration is `type ident` followed by `=`, `;` or `,`
+        // (`type ident (` would be no valid expression either, but is
+        // not treated as a declaration). Look ahead without building
+        // anything, then parse for real.
         let save = self.at;
-        if matches!(self.peek(), Tok::Ident(_) | Tok::TypeVar(_)) {
-            if let Ok(ty) = self.type_expr() {
-                if let Tok::Ident(_) = self.peek() {
-                    // `type ident` where the next token is not `(`
-                    // (which would be a call like `f (x)`... but calls
-                    // are Expr::Var applied, and `ident ident(` is not
-                    // valid expression syntax, so `(` after the second
-                    // ident still means a declaration of a variable is
-                    // NOT intended — treat as declaration only when
-                    // followed by `=`, `;` or `,`).
-                    let name = self.eat_ident()?;
-                    match self.peek() {
-                        Tok::Punct("=") => {
-                            self.bump();
-                            let init = self.expr()?;
-                            return Ok(Stmt::Decl { ty, name, init: Some(init), pos });
-                        }
-                        Tok::Punct(";") | Tok::Punct(",") => {
-                            return Ok(Stmt::Decl { ty, name, init: None, pos });
-                        }
-                        _ => {
-                            self.at = save;
-                        }
-                    }
-                } else {
-                    self.at = save;
-                }
-            } else {
-                self.at = save;
+        let is_decl = self.skip_type()
+            && matches!(self.peek(), Tok::Ident(_))
+            && matches!(self.peek2(), Tok::Punct("=" | ";" | ","));
+        self.at = save;
+        if is_decl {
+            let ty = self.type_expr()?;
+            let name = self.eat_ident()?;
+            if self.at_punct("=") {
+                self.bump();
+                let init = self.expr()?;
+                return Ok(Stmt::Decl { ty, name, init: Some(init), pos });
             }
+            return Ok(Stmt::Decl { ty, name, init: None, pos });
         }
         // Assignment: `ident = expr`
-        if let (Tok::Ident(name), Tok::Punct("=")) = (self.peek().clone(), self.peek2().clone()) {
+        if let (Tok::Ident(name), Tok::Punct("=")) = (self.peek(), self.peek2()) {
             self.bump();
             self.bump();
             let value = self.expr()?;
@@ -359,125 +412,70 @@ impl Parser {
 
     // ---------------- expressions ----------------
 
-    fn expr(&mut self) -> Result<Expr> {
-        self.or_expr()
+    fn expr(&mut self) -> Result<Expr<'a>> {
+        self.enter()?;
+        let e = self.binary(1)?;
+        self.leave(1);
+        Ok(e)
     }
 
-    fn or_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.and_expr()?;
-        while self.at_punct("||") {
-            let pos = self.pos();
-            self.bump();
-            let rhs = self.and_expr()?;
-            lhs = Expr::Binary { op: "||".into(), lhs: Box::new(lhs), rhs: Box::new(rhs), pos };
-        }
-        Ok(lhs)
-    }
-
-    fn and_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.eq_expr()?;
-        while self.at_punct("&&") {
-            let pos = self.pos();
-            self.bump();
-            let rhs = self.eq_expr()?;
-            lhs = Expr::Binary { op: "&&".into(), lhs: Box::new(lhs), rhs: Box::new(rhs), pos };
-        }
-        Ok(lhs)
-    }
-
-    fn eq_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.rel_expr()?;
-        while let Tok::Punct(p @ ("==" | "!=")) = self.peek() {
-            let op = p.to_string();
-            let pos = self.pos();
-            self.bump();
-            let rhs = self.rel_expr()?;
-            lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs), pos };
-        }
-        Ok(lhs)
-    }
-
-    fn rel_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.add_expr()?;
-        while let Tok::Punct(p @ ("<" | "<=" | ">" | ">=")) = self.peek() {
-            let op = p.to_string();
-            let pos = self.pos();
-            self.bump();
-            let rhs = self.add_expr()?;
-            lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs), pos };
-        }
-        Ok(lhs)
-    }
-
-    fn add_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.mul_expr()?;
-        while let Tok::Punct(p @ ("+" | "-")) = self.peek() {
-            let op = p.to_string();
-            let pos = self.pos();
-            self.bump();
-            let rhs = self.mul_expr()?;
-            lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs), pos };
-        }
-        Ok(lhs)
-    }
-
-    fn mul_expr(&mut self) -> Result<Expr> {
+    /// Precedence climbing over the left-associative binary operators
+    /// binding at least as tight as `min`.
+    fn binary(&mut self, min: u8) -> Result<Expr<'a>> {
         let mut lhs = self.unary_expr()?;
-        while let Tok::Punct(p @ ("*" | "/" | "%")) = self.peek() {
-            let op = p.to_string();
+        let mut levels = 0;
+        while let Some((op, prec)) = precedence(self.peek()) {
+            if prec < min {
+                break;
+            }
             let pos = self.pos();
+            self.enter()?;
+            levels += 1;
             self.bump();
-            let rhs = self.unary_expr()?;
+            let rhs = self.binary(prec + 1)?;
             lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs), pos };
         }
+        self.leave(levels);
         Ok(lhs)
     }
 
-    fn unary_expr(&mut self) -> Result<Expr> {
+    fn unary_expr(&mut self) -> Result<Expr<'a>> {
         let pos = self.pos();
-        if self.at_punct("-") {
+        if let Tok::Punct(op @ ("-" | "!")) = self.peek() {
+            self.enter()?;
             self.bump();
             let e = self.unary_expr()?;
-            return Ok(Expr::Unary { op: "-".into(), expr: Box::new(e), pos });
-        }
-        if self.at_punct("!") {
-            self.bump();
-            let e = self.unary_expr()?;
-            return Ok(Expr::Unary { op: "!".into(), expr: Box::new(e), pos });
+            self.leave(1);
+            return Ok(Expr::Unary { op, expr: Box::new(e), pos });
         }
         self.postfix_expr()
     }
 
-    fn postfix_expr(&mut self) -> Result<Expr> {
+    fn postfix_expr(&mut self) -> Result<Expr<'a>> {
         let mut e = self.primary_expr()?;
+        let mut levels = 0;
         loop {
+            let pos = self.pos();
             if self.at_punct("(") {
-                let pos = self.pos();
+                self.enter()?;
+                levels += 1;
                 self.bump();
-                let mut args = Vec::new();
-                if !self.at_punct(")") {
-                    loop {
-                        args.push(self.expr()?);
-                        if self.at_punct(",") {
-                            self.bump();
-                        } else {
-                            break;
-                        }
-                    }
-                }
+                let args = self.list(")", Self::expr)?;
                 self.eat_punct(")")?;
                 e = Expr::Call { callee: Box::new(e), args, pos };
                 continue;
             }
             if self.at_punct(".") || self.at_punct("->") {
-                let pos = self.pos();
+                self.enter()?;
+                levels += 1;
                 self.bump();
                 let field = self.eat_ident()?;
                 e = Expr::Field { expr: Box::new(e), field, pos };
                 continue;
             }
             if self.at_punct("[") {
-                let pos = self.pos();
+                self.enter()?;
+                levels += 1;
                 self.bump();
                 let index = self.expr()?;
                 self.eat_punct("]")?;
@@ -486,12 +484,13 @@ impl Parser {
             }
             break;
         }
+        self.leave(levels);
         Ok(e)
     }
 
-    fn primary_expr(&mut self) -> Result<Expr> {
+    fn primary_expr(&mut self) -> Result<Expr<'a>> {
         let pos = self.pos();
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Int(v) => {
                 self.bump();
                 Ok(Expr::Int(v, pos))
@@ -505,17 +504,7 @@ impl Parser {
                 // struct literal `name{...}`
                 if self.at_punct("{") {
                     self.bump();
-                    let mut fields = Vec::new();
-                    if !self.at_punct("}") {
-                        loop {
-                            fields.push(self.expr()?);
-                            if self.at_punct(",") {
-                                self.bump();
-                            } else {
-                                break;
-                            }
-                        }
-                    }
+                    let fields = self.list("}", Self::expr)?;
                     self.eat_punct("}")?;
                     return Ok(Expr::StructLit { name, fields, pos });
                 }
@@ -523,17 +512,7 @@ impl Parser {
             }
             Tok::Punct("{") => {
                 self.bump();
-                let mut elems = Vec::new();
-                if !self.at_punct("}") {
-                    loop {
-                        elems.push(self.expr()?);
-                        if self.at_punct(",") {
-                            self.bump();
-                        } else {
-                            break;
-                        }
-                    }
-                }
+                let elems = self.list("}", Self::expr)?;
                 self.eat_punct("}")?;
                 Ok(Expr::BraceList { elems, pos })
             }
@@ -542,12 +521,12 @@ impl Parser {
                 // operator section `(+)` etc.
                 if let Tok::Punct(
                     op @ ("+" | "-" | "*" | "/" | "%" | "==" | "!=" | "<" | "<=" | ">" | ">="),
-                ) = self.peek().clone()
+                ) = self.peek()
                 {
                     if matches!(self.peek2(), Tok::Punct(")")) {
                         self.bump();
                         self.bump();
-                        return Ok(Expr::OpSection(op.to_string(), pos));
+                        return Ok(Expr::OpSection(op, pos));
                     }
                 }
                 let e = self.expr()?;
@@ -574,10 +553,10 @@ mod tests {
         )
         .unwrap();
         assert_eq!(p.items.len(), 2);
-        assert!(matches!(&p.items[0], Item::Pardata { name, arity: 1, .. } if name == "array"));
+        assert!(matches!(&p.items[0], Item::Pardata { name, arity: 1, .. } if *name == "array"));
         match &p.items[1] {
             Item::Struct { name, fields, .. } => {
-                assert_eq!(name, "elemrec");
+                assert_eq!(*name, "elemrec");
                 assert_eq!(fields.len(), 3);
                 assert_eq!(fields[1].0, "row");
             }
@@ -618,12 +597,9 @@ mod tests {
             Item::Func(f) => {
                 assert_eq!(
                     f.params[0].ty,
-                    TypeExpr::Fun(
-                        vec![TypeExpr::Var("a".into())],
-                        Box::new(TypeExpr::Var("b".into()))
-                    )
+                    TypeExpr::Fun(vec![TypeExpr::Var("a")], Box::new(TypeExpr::Var("b")))
                 );
-                assert_eq!(f.ret, TypeExpr::Var("b".into()));
+                assert_eq!(f.ret, TypeExpr::Var("b"));
             }
             _ => panic!(),
         }
@@ -657,7 +633,7 @@ mod tests {
                 assert!(matches!(
                     &f.body.0[0],
                     Stmt::Decl { ty: TypeExpr::Named(n, args), .. }
-                        if n == "array" && args.len() == 1
+                        if *n == "array" && args.len() == 1
                 ));
                 assert!(matches!(&f.body.0[1], Stmt::Decl { init: Some(_), .. }));
             }
@@ -673,7 +649,7 @@ mod tests {
         // fold((+), l)
         match &f.body.0[0] {
             Stmt::Assign { value: Expr::Call { args, .. }, .. } => {
-                assert!(matches!(&args[0], Expr::OpSection(op, _) if op == "+"));
+                assert!(matches!(&args[0], Expr::OpSection(op, _) if *op == "+"));
             }
             other => panic!("{other:?}"),
         }
@@ -681,7 +657,7 @@ mod tests {
         match &f.body.0[1] {
             Stmt::Assign { value: Expr::Call { args, .. }, .. } => match &args[0] {
                 Expr::Call { callee, args, .. } => {
-                    assert!(matches!(&**callee, Expr::OpSection(op, _) if op == "*"));
+                    assert!(matches!(&**callee, Expr::OpSection(op, _) if *op == "*"));
                     assert_eq!(args.len(), 1);
                 }
                 other => panic!("{other:?}"),
@@ -708,7 +684,7 @@ mod tests {
         assert!(matches!(
             &f.body.0[1],
             Stmt::Assign { value: Expr::StructLit { name, fields, .. }, .. }
-                if name == "elemrec" && fields.len() == 3
+                if *name == "elemrec" && fields.len() == 3
         ));
     }
 
@@ -729,7 +705,7 @@ mod tests {
         assert!(matches!(&**lhs, Expr::IndexAt { .. }));
         match &**rhs {
             Expr::IndexAt { expr, .. } => {
-                assert!(matches!(&**expr, Expr::Field { field, .. } if field == "lowerBd"));
+                assert!(matches!(&**expr, Expr::Field { field, .. } if *field == "lowerBd"));
             }
             other => panic!("{other:?}"),
         }
@@ -741,7 +717,7 @@ mod tests {
         let Item::Func(f) = &p.items[0] else { panic!() };
         let Stmt::Assign { value, .. } = &f.body.0[0] else { panic!() };
         // top node is &&
-        assert!(matches!(value, Expr::Binary { op, .. } if op == "&&"));
+        assert!(matches!(value, Expr::Binary { op, .. } if *op == "&&"));
     }
 
     #[test]

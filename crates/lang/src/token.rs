@@ -2,13 +2,13 @@
 
 use crate::diag::{Diag, Phase, Pos, Result};
 
-/// One lexical token.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Tok {
+/// One lexical token. Names borrow the source text.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Tok<'a> {
     /// Identifier or keyword.
-    Ident(String),
+    Ident(&'a str),
     /// Type variable `$t`.
-    TypeVar(String),
+    TypeVar(&'a str),
     /// Integer literal.
     Int(i64),
     /// Float literal.
@@ -19,7 +19,7 @@ pub enum Tok {
     Eof,
 }
 
-impl Tok {
+impl Tok<'_> {
     /// Render for error messages.
     pub fn describe(&self) -> String {
         match self {
@@ -34,10 +34,10 @@ impl Tok {
 }
 
 /// A token with its source position.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Spanned {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spanned<'a> {
     /// The token.
-    pub tok: Tok,
+    pub tok: Tok<'a>,
     /// Where it starts.
     pub pos: Pos,
 }
@@ -49,9 +49,10 @@ const PUNCTS1: [&str; 20] = [
 ];
 
 /// Tokenize Skil source text.
-pub fn lex(src: &str) -> Result<Vec<Spanned>> {
+pub fn lex(src: &str) -> Result<Vec<Spanned<'_>>> {
     let bytes = src.as_bytes();
-    let mut out = Vec::new();
+    // a token per five bytes of source is a generous first guess
+    let mut out = Vec::with_capacity(src.len() / 5 + 1);
     let mut i = 0usize;
     let mut line = 1u32;
     let mut col = 1u32;
@@ -124,7 +125,7 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>> {
             if j == i + 1 {
                 return Err(Diag::new(Phase::Lex, start, "`$` must begin a type variable"));
             }
-            let name = src[i + 1..j].to_string();
+            let name = &src[i + 1..j];
             col += (j - i) as u32;
             i = j;
             out.push(Spanned { tok: Tok::TypeVar(name), pos: start });
@@ -138,7 +139,7 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>> {
             {
                 j += 1;
             }
-            let name = src[i..j].to_string();
+            let name = &src[i..j];
             col += (j - i) as u32;
             i = j;
             out.push(Spanned { tok: Tok::Ident(name), pos: start });
@@ -194,16 +195,15 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>> {
         // two-char puncts (guard the slice: the next byte may start a
         // multibyte char, which is rejected on the following iteration)
         if i + 1 < bytes.len() && src.is_char_boundary(i + 2) {
-            let two = &src[i..i + 2];
-            if let Some(&p) = PUNCTS2.iter().find(|&&p| p == two) {
+            let two = &bytes[i..i + 2];
+            if let Some(&p) = PUNCTS2.iter().find(|&&p| p.as_bytes() == two) {
                 i += 2;
                 col += 2;
                 out.push(Spanned { tok: Tok::Punct(p), pos: start });
                 continue;
             }
         }
-        let one = &src[i..i + 1];
-        if let Some(&p) = PUNCTS1.iter().find(|&&p| p == one) {
+        if let Some(&p) = PUNCTS1.iter().find(|&&p| p.as_bytes()[0] == bytes[i]) {
             i += 1;
             col += 1;
             out.push(Spanned { tok: Tok::Punct(p), pos: start });
@@ -219,7 +219,7 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>> {
 mod tests {
     use super::*;
 
-    fn toks(src: &str) -> Vec<Tok> {
+    fn toks(src: &str) -> Vec<Tok<'_>> {
         lex(src).unwrap().into_iter().map(|s| s.tok).collect()
     }
 
@@ -229,15 +229,15 @@ mod tests {
         assert_eq!(
             t,
             vec![
-                Tok::Ident("int".into()),
-                Tok::Ident("f".into()),
+                Tok::Ident("int"),
+                Tok::Ident("f"),
                 Tok::Punct("("),
-                Tok::Ident("int".into()),
-                Tok::Ident("x".into()),
+                Tok::Ident("int"),
+                Tok::Ident("x"),
                 Tok::Punct(")"),
                 Tok::Punct("{"),
-                Tok::Ident("return".into()),
-                Tok::Ident("x".into()),
+                Tok::Ident("return"),
+                Tok::Ident("x"),
                 Tok::Punct("+"),
                 Tok::Int(1),
                 Tok::Punct(";"),
@@ -253,10 +253,10 @@ mod tests {
         assert_eq!(
             t,
             vec![
-                Tok::Ident("pardata".into()),
-                Tok::Ident("array".into()),
+                Tok::Ident("pardata"),
+                Tok::Ident("array"),
                 Tok::Punct("<"),
-                Tok::TypeVar("t".into()),
+                Tok::TypeVar("t"),
                 Tok::Punct(">"),
                 Tok::Punct(";"),
                 Tok::Eof,
@@ -294,10 +294,7 @@ mod tests {
     #[test]
     fn comments_are_skipped() {
         let t = toks("a // line comment\n b /* block\n comment */ c");
-        assert_eq!(
-            t,
-            vec![Tok::Ident("a".into()), Tok::Ident("b".into()), Tok::Ident("c".into()), Tok::Eof]
-        );
+        assert_eq!(t, vec![Tok::Ident("a"), Tok::Ident("b"), Tok::Ident("c"), Tok::Eof]);
     }
 
     #[test]
