@@ -127,9 +127,9 @@ impl Engine {
 pub struct Compiled {
     /// The instantiated first-order program.
     pub fo: FoProgram,
-    /// Raw `compile_program` bytecode (slot-resolved, charge-annotated).
-    pub raw: bytecode::Program,
-    /// The bytecode the VM executes: `raw` after [`opt::optimize`].
+    /// The bytecode the VM executes: [`bytecode::compile_program`]'s
+    /// output after [`opt::optimize`]. The unoptimized bytecode is not
+    /// kept; [`Compiled::disassemble_raw`] rebuilds it from `fo`.
     pub code: bytecode::Program,
     /// The opt level `code` was produced at.
     pub opt_level: OptLevel,
@@ -155,7 +155,7 @@ pub fn compile_opt(src: &str, level: OptLevel) -> diag::Result<Compiled> {
     let fo = instantiate::instantiate(&mut ck)?;
     let raw = bytecode::compile_program(&fo);
     let (code, opt_stats) = opt::optimize(&raw, level);
-    Ok(Compiled { fo, raw, code, opt_level: level, opt_stats, native_cache: Default::default() })
+    Ok(Compiled { fo, code, opt_level: level, opt_stats, native_cache: Default::default() })
 }
 
 impl Compiled {
@@ -243,8 +243,9 @@ impl Compiled {
     }
 
     /// Listing of the unoptimized `compile_program` output
-    /// (`skilc --emit-bytecode=raw`).
+    /// (`skilc --emit-bytecode=raw`), recompiled from the first-order
+    /// program on each call.
     pub fn disassemble_raw(&self) -> String {
-        bytecode::disassemble(&self.raw)
+        bytecode::disassemble(&bytecode::compile_program(&self.fo))
     }
 }

@@ -4,13 +4,16 @@
 Generates a mixed JSONL batch — clean programs on a sweep of mesh
 shapes (2x2, 1x3, 4x4), all three engines (ast, vm, native), Skil
 runtime errors, crash fault plans, malformed requests, raw non-JSON
-garbage, and a stats query — streams it through one `skild` process,
-and asserts the daemon:
+garbage, two hostile programs nested 1,000 and 100,000 parentheses
+deep mid-stream, and a stats query — streams it through one `skild`
+process, and asserts the daemon:
 
   - stays alive to stdin EOF and exits 0 (no restart, no crash);
   - answers every request with exactly one structured JSON line;
   - classifies each outcome correctly (`ok` / `runtime` / `bad_request`),
     matched by echoed request id;
+  - rejects each over-deep program with one `compile` error (the
+    parser's nesting limit) and answers every request sent after them;
   - serves >90% of compiles from the program cache at this volume
     (native requests included: machine code is compiled once per
     program and reused);
@@ -38,6 +41,13 @@ FOLD = (
 )
 DIV_ZERO = "void main() { int z = procId - procId; print(100 / z); }"
 
+# Nesting depths of the hostile programs, far past the parser's limit.
+DEEP = (1_000, 100_000)
+
+
+def deep_program(depth):
+    return "void main() { int x = " + "(" * depth + "1" + ")" * depth + "; print(x); }"
+
 
 def build_batch(total):
     """Returns (lines, expectations): expectations maps request id ->
@@ -50,9 +60,13 @@ def build_batch(total):
         lines.append(json.dumps(obj))
         expect[req_id] = outcome
 
-    # Round-robin a fixed mix until `total` request lines exist.
+    # Round-robin a fixed mix until `total` request lines exist; the
+    # hostile deep-nesting requests go in mid-stream.
     i = 0
     while len(lines) < total:
+        if len(lines) == total // 2:
+            for depth in DEEP:
+                add(f"deep{depth}", "compile", {"program": deep_program(depth)})
         slot = i % 20
         rid = f"r{i}"
         if slot < 8:
@@ -137,6 +151,8 @@ def main():
         else:
             if resp.get("ok") is not False or resp.get("error", {}).get("kind") != want:
                 failures.append(f"{rid}: expected {want} error, got {resp}")
+            elif want == "compile" and "nesting too deep" not in resp["error"]["message"]:
+                failures.append(f"{rid}: expected the nesting-limit error, got {resp}")
 
     if unmatched_garbage != garbage:
         failures.append(
@@ -146,6 +162,10 @@ def main():
     missing = expect.keys() - seen
     if missing:
         failures.append(f"{len(missing)} request(s) never answered, e.g. {sorted(missing)[:5]}")
+    order = list(expect)
+    after_deep = order[order.index(f"deep{DEEP[-1]}") + 1 :]
+    if not after_deep or any(rid not in seen for rid in after_deep):
+        failures.append("requests sent after the deep-nesting programs went unanswered")
 
     if stats is None:
         failures.append("no response to the stats command")
